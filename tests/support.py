@@ -9,6 +9,24 @@ equal — this is the invariant every acceleration switch (``perfflags``,
 
 from __future__ import annotations
 
+import json
+from functools import lru_cache
+from pathlib import Path
+
+#: The committed golden corpus (see ``tests/test_golden.py``).
+GOLDEN_PATH = Path(__file__).parent / "golden" / "fingerprints.json"
+
+
+def normalize(value):
+    """A fingerprint as it reads back from JSON (lists, string keys)."""
+    return json.loads(json.dumps(value, default=lambda o: o.item()))
+
+
+@lru_cache(maxsize=1)
+def load_golden() -> dict:
+    """Corpus key -> normalized fingerprint."""
+    return json.loads(GOLDEN_PATH.read_text())
+
 
 def fingerprint(result):
     """Every simulated quantity of a run, as a comparable value."""
