@@ -1,20 +1,19 @@
 #!/usr/bin/env python
-"""Per-kernel microbenchmark of the :mod:`repro.kernels` backend tier.
+"""Per-kernel microbenchmark of the :mod:`repro.kernels` rungs.
 
-For every compiled kernel this driver times three implementations on
-identical inputs:
+For every kernel this driver times three implementations on identical
+inputs:
 
-* **legacy** — the pre-optimization per-element Python loop (inlined
-  here as the reference semantics);
-* **vectorized** — the numpy pipeline from
-  :mod:`repro.kernels._fallback`, i.e. what the ``vectorized`` backend
-  runs;
-* **compiled** — the dispatched :mod:`repro.kernels` entry point
-  (Numba where installed, the ctypes C shared object where only a C
-  compiler is present, numpy otherwise — ``kernel_backend`` in the
-  payload records which).
+* **legacy** — a per-element Python loop (inlined here as the
+  reference semantics);
+* **vectorized** — the numpy reference pipeline from
+  :mod:`repro.kernels._fallback`, i.e. what machines without a C
+  compiler run;
+* **compiled** — the dispatched :mod:`repro.kernels` entry point (the
+  ctypes C shared object where a C compiler is present, numpy
+  otherwise — ``kernel_backend`` in the payload records which).
 
-JIT/compile work happens in :func:`repro.kernels.warmup` *before* any
+Build/load work happens in :func:`repro.kernels.warmup` *before* any
 timed region, so the numbers are steady-state per-call costs.  All
 three arms are bit-identical (asserted on every timed output here and
 exhaustively by ``tests/test_kernels.py``); only wall clock differs.
@@ -39,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import kernels, perfflags
+from repro import kernels
 from repro.bench.scaling import BenchProfile
 from repro.mm.pagetable import PAGES_PER_HUGE_PAGE, PageTable
 
@@ -263,24 +262,23 @@ def _chunked_arm(n_pages: int) -> dict:
     """Drive a paper-scale chunked page table and record its footprint."""
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = time.perf_counter()
-    with perfflags.backend_mode("compiled"):
-        pt = PageTable(n_pages)
-        assert pt.chunked, "paper-scale table should auto-chunk"
-        rng = np.random.default_rng(7)
-        region_pages = 64 * PAGES_PER_HUGE_PAGE
-        starts = np.sort(rng.choice(
-            n_pages // region_pages, size=48, replace=False,
-        )).astype(np.int64) * region_pages
-        for i, start in enumerate(starts.tolist()):
-            pt.map_range(start, region_pages, node=i % 3,
-                         huge=(i % 4 == 0))
-        npages = np.full(starts.size, region_pages, dtype=np.int64)
-        majority = pt.span_majority_nodes(starts, npages)
-        assert int(majority.size) == starts.size
-        entries, offsets = pt.span_entries(starts[:8], npages[:8])
-        assert int(offsets[-1]) == entries.size
-        mapped = pt.mapped_pages()
-        chunked_bytes = pt.storage_nbytes()
+    pt = PageTable(n_pages)
+    assert pt.chunked, "paper-scale table should auto-chunk"
+    rng = np.random.default_rng(7)
+    region_pages = 64 * PAGES_PER_HUGE_PAGE
+    starts = np.sort(rng.choice(
+        n_pages // region_pages, size=48, replace=False,
+    )).astype(np.int64) * region_pages
+    for i, start in enumerate(starts.tolist()):
+        pt.map_range(start, region_pages, node=i % 3,
+                     huge=(i % 4 == 0))
+    npages = np.full(starts.size, region_pages, dtype=np.int64)
+    majority = pt.span_majority_nodes(starts, npages)
+    assert int(majority.size) == starts.size
+    entries, offsets = pt.span_entries(starts[:8], npages[:8])
+    assert int(offsets[-1]) == entries.size
+    mapped = pt.mapped_pages()
+    chunked_bytes = pt.storage_nbytes()
     elapsed = time.perf_counter() - t0
     rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Dense layout is exactly flags(u16) + node(i16) + entry(i64).
@@ -306,39 +304,38 @@ def run_experiment(profile: BenchProfile) -> str:
     n_entries, batch = 1 << 21, 1 << 19
     chunked_pages = 1 << 24 if profile.name != "quick" else 10_485_760
 
-    warmup_seconds = kernels.warmup()  # JIT/compile outside timed regions
+    warmup_seconds = kernels.warmup()  # build/load outside timed regions
     rng = np.random.default_rng(11)
     cases = _make_cases(rng, n_entries, batch)
 
     per_kernel = {}
     speedups = []
     lines = []
-    with perfflags.backend_mode("compiled"):
-        for name, legacy, vectorized, compiled in cases:
-            compiled()  # touch once so first-call overhead is off-clock
-            legacy_s, legacy_out = _time_arm(legacy)
-            vec_s, vec_out = _time_arm(vectorized)
-            comp_s, comp_out = _time_arm(compiled)
-            if name not in ("mmu_scatter_reset", "mmu_ingest"):
-                # The MMU arms mutate shared state (by design); the pure
-                # kernels must agree bit-for-bit across all three arms.
-                assert _as_comparable(vec_out) == _as_comparable(comp_out), name
-                assert _as_comparable(legacy_out) == _as_comparable(vec_out), name
-            speedup = vec_s / comp_s if comp_s > 0 else float("inf")
-            per_kernel[name] = {
-                "legacy_seconds": round(legacy_s, 6),
-                "vectorized_seconds": round(vec_s, 6),
-                "compiled_seconds": round(comp_s, 6),
-                "speedup_vs_vectorized": round(speedup, 2),
-                "speedup_vs_legacy": round(legacy_s / comp_s, 1) if comp_s else None,
-            }
-            speedups.append(speedup)
-            lines.append(
-                f"  {name:18s} legacy {legacy_s * 1e3:8.2f}ms  "
-                f"vectorized {vec_s * 1e3:8.3f}ms  "
-                f"compiled {comp_s * 1e3:8.3f}ms  "
-                f"({speedup:5.1f}x vs vectorized)"
-            )
+    for name, legacy, vectorized, compiled in cases:
+        compiled()  # touch once so first-call overhead is off-clock
+        legacy_s, legacy_out = _time_arm(legacy)
+        vec_s, vec_out = _time_arm(vectorized)
+        comp_s, comp_out = _time_arm(compiled)
+        if name not in ("mmu_scatter_reset", "mmu_ingest"):
+            # The MMU arms mutate shared state (by design); the pure
+            # kernels must agree bit-for-bit across all three arms.
+            assert _as_comparable(vec_out) == _as_comparable(comp_out), name
+            assert _as_comparable(legacy_out) == _as_comparable(vec_out), name
+        speedup = vec_s / comp_s if comp_s > 0 else float("inf")
+        per_kernel[name] = {
+            "legacy_seconds": round(legacy_s, 6),
+            "vectorized_seconds": round(vec_s, 6),
+            "compiled_seconds": round(comp_s, 6),
+            "speedup_vs_vectorized": round(speedup, 2),
+            "speedup_vs_legacy": round(legacy_s / comp_s, 1) if comp_s else None,
+        }
+        speedups.append(speedup)
+        lines.append(
+            f"  {name:18s} legacy {legacy_s * 1e3:8.2f}ms  "
+            f"vectorized {vec_s * 1e3:8.3f}ms  "
+            f"compiled {comp_s * 1e3:8.3f}ms  "
+            f"({speedup:5.1f}x vs vectorized)"
+        )
 
     chunked = _chunked_arm(chunked_pages)
     geomean = float(np.exp(np.mean(np.log(speedups))))
@@ -346,8 +343,6 @@ def run_experiment(profile: BenchProfile) -> str:
 
     block = {
         "kernel_backend": kernels.active_backend(),
-        "numba_available": kernels.numba_available(),
-        "numba_version": kernels.numba_version(),
         "warmup_seconds": round(warmup_seconds, 3),
         "n_entries": n_entries,
         "batch_pages": batch,

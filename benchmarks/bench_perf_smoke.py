@@ -3,11 +3,14 @@
 
 Two measurements, both regression-gated by CI via ``BENCH_perf.json``:
 
-* **matrix** — the 4-workload x 4-solution benchmark matrix, run twice:
-  the pre-optimization serial path (vectorized + incremental hot paths
-  off via :mod:`repro.perfflags` legacy mode, no trace cache, one
-  process) versus the optimized path (vectorized + incremental + shared
-  :class:`~repro.sim.tracecache.TraceCache` + adaptive worker count);
+* **matrix** — the 4-workload x 4-solution benchmark matrix, run twice
+  on the one hot path (:mod:`repro.kernels`): serial and uncached (no
+  trace cache, one process) versus shared
+  :class:`~repro.sim.tracecache.TraceCache` + adaptive worker count.
+  The serial arm used to run the since-deleted per-element Python
+  loops, so ``matrix.speedup`` in ``BENCH_perf.json`` no longer
+  includes that legacy-vs-optimized delta — only what the cache and
+  the workers add;
 * **tau sweep** — a 6-point τ sensitivity sweep whose cells share a long
   warmup prefix, run cold (every cell from interval 0, on the already
   optimized paths) versus forked from one warmed
@@ -22,8 +25,9 @@ Two measurements, both regression-gated by CI via ``BENCH_perf.json``:
   layer adds on top of the enabled obs arm).
 
 Every arm produces bit-identical simulation results (asserted here on
-summary statistics, and in full by ``tests/test_perf_opt.py`` and
-``tests/test_snapshot.py``); only the wall clock may differ.
+summary statistics, and in full by ``tests/test_golden.py``,
+``tests/test_perf_opt.py`` and ``tests/test_snapshot.py``); only the
+wall clock may differ.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import os
 import time
 from pathlib import Path
 
-from repro import kernels, perfflags
+from repro import kernels
 from repro.bench.runner import SweepVariant, run_matrix, run_sweep
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES
 from repro.mm.pagetable import AUTO_CHUNK_PAGES
@@ -111,8 +115,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
 
     # -- matrix arm ------------------------------------------------------
     t0 = time.perf_counter()
-    with perfflags.legacy_mode():
-        baseline = run_matrix(workloads, SOLUTIONS, profile, use_cache=False)
+    baseline = run_matrix(workloads, SOLUTIONS, profile, use_cache=False,
+                          workers=1)
     baseline_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -126,8 +130,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
         )
 
     # -- tau-sweep arm ---------------------------------------------------
-    # Cold runs on the fully optimized paths, so the fork arm's speedup
-    # is what snapshots add *on top of* the matrix optimizations.
+    # Cold runs with every other acceleration on, so the fork arm's
+    # speedup is what snapshots add *on top of* them.
     variants = tau_variants()
     t0 = time.perf_counter()
     sweep_cold = run_sweep(
@@ -242,10 +246,7 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
         "workers_requested": REQUESTED_WORKERS,
         "workers_effective": workers,
         "cpu_count": os.cpu_count(),
-        "backend": perfflags.backend(),
         "kernel_backend": kernels.active_backend(),
-        "numba_available": kernels.numba_available(),
-        "numba_version": kernels.numba_version(),
         "chunk_pages": DEFAULT_CHUNK_PAGES,
         "chunk_auto_threshold_pages": AUTO_CHUNK_PAGES,
         "baseline_seconds": round(baseline_seconds, 3),
@@ -293,8 +294,8 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
 
     return (
         f"perf smoke ({profile.name} profile, {len(workloads)}x{len(SOLUTIONS)} matrix)\n"
-        f"  baseline (legacy serial, uncached): {baseline_seconds:6.2f}s\n"
-        f"  optimized (vectorized + cache + workers={workers}): "
+        f"  baseline (serial, uncached): {baseline_seconds:6.2f}s\n"
+        f"  optimized (cache + workers={workers}): "
         f"{optimized_seconds:6.2f}s\n"
         f"  speedup: {matrix_speedup:.2f}x\n"
         f"  tau sweep ({len(TAU_POINTS)} points, warmup {SWEEP_WARMUP}/{SWEEP_INTERVALS}):\n"

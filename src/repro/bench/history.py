@@ -4,7 +4,7 @@
 the repo has no memory of whether a commit made the benchmarks faster
 or slower.  This module gives it a trajectory: every successful
 ``bench_main`` invocation appends exactly one timestamped JSONL record
-(driver, profile, backend, workers, wall seconds, and the flattened
+(driver, profile, kernel rung, workers, wall seconds, and the flattened
 numeric metrics of the ``BENCH_perf.json`` block the run refreshed),
 and ``repro diff --bench`` reads the accumulated history to call
 regressions across entries.

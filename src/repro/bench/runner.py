@@ -1,6 +1,6 @@
 """Experiment runners: one solution, or a workload x solution matrix.
 
-The matrix runner supports three independent accelerations, all
+The matrix runner supports two independent accelerations, both
 result-preserving:
 
 * a shared :class:`~repro.sim.tracecache.TraceCache` so each workload's
@@ -9,11 +9,9 @@ result-preserving:
   across processes.  Every cell builds its own engine from
   ``(solution, workload, profile)`` with fully deterministic seeding, and
   cells are keyed (not ordered) on collection, so ``workers=4`` is
-  bit-identical to ``workers=1`` (asserted by tests);
-* the vectorized hot paths (see :mod:`repro.perfflags`), inherited by
-  forked workers.
+  bit-identical to ``workers=1`` (asserted by tests).
 
-Fault injection composes with all three: each cell constructs a *fresh*
+Fault injection composes with both: each cell constructs a *fresh*
 injector from ``(fault_rate, fault_seed)``, so runs never share mutable
 injector state across processes or cells.
 """
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 from queue import Empty
 from typing import TYPE_CHECKING, Callable
 
-from repro import kernels, perfflags
+from repro import kernels
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.errors import ConfigError
@@ -809,8 +807,10 @@ def run_sweep(
 def _pool_map(fn, cells, workers: int, collector: "ObsContext | None" = None):
     """Fan ``cells`` over a process pool, optionally relaying live streams.
 
-    fork (where available) keeps startup cheap and inherits the
-    process-global perfflags switch; spawn re-imports with defaults.
+    The kernels are loaded and warmed first: forked workers inherit
+    the bound shared object, and spawned ones at least share the on-disk
+    build cache (:func:`repro.kernels.kernel_cache_dir`) instead of each
+    paying a cold compile.  fork (where available) keeps startup cheap.
     When ``collector`` has streaming sinks and the platform forks, a
     bounded relay queue is installed *before* the pool starts (workers
     inherit it) and drained onto the collector's sinks between
@@ -821,12 +821,7 @@ def _pool_map(fn, cells, workers: int, collector: "ObsContext | None" = None):
     global _RELAY_QUEUE
     import multiprocessing as mp
 
-    if perfflags.compiled():
-        # Load + warm the kernel backend before the pool starts: forked
-        # workers inherit the bound/JITted kernels, and spawned workers
-        # at least share the on-disk cache (kernels.kernel_cache_dir())
-        # instead of each paying a cold compile.
-        kernels.warmup()
+    kernels.warmup()
     method = "fork" if "fork" in mp.get_all_start_methods() else None
     ctx = mp.get_context(method) if method else mp.get_context()
     relay = (collector is not None and collector.stream_sinks

@@ -1,32 +1,30 @@
-"""Compiled hot-path kernels behind ``perfflags.set_backend("compiled")``.
+"""The simulator's hot-path kernels — the one implementation of each.
 
-The package resolves one of three implementations at first use, in
-decreasing preference:
+Seven kernels carry the per-interval inner loops: MMU scatter-reset and
+ingest, the page table's node run-length encoding, span majority and
+span entry resolution, per-node access accumulation (PCM counters and
+the cost model), and MTM's per-region score.  The package resolves one
+of two rungs at first use:
 
-``numba``
-    ``@njit(cache=True)`` loops (:mod:`repro.kernels._numba`), used when
-    Numba is importable.  Object code is cached in the shared kernel
-    cache directory (``NUMBA_CACHE_DIR`` is pointed there before the
-    import) so pool workers and repeat runs skip recompilation.
 ``cc``
-    A C shared object built once with the system compiler and bound via
-    ctypes (:mod:`repro.kernels._cc`), used when Numba is absent but a
-    C compiler is on ``PATH``.
+    A C shared object built once per cache directory with the system
+    compiler and bound via ctypes (:mod:`repro.kernels._cc`), used when
+    a C compiler is on ``PATH``.
 ``numpy``
     The pure-numpy reference implementations
-    (:mod:`repro.kernels._fallback`) — always available, making the
-    ``compiled`` backend safe to select on any machine.
+    (:mod:`repro.kernels._fallback`) — always available, and the
+    definition the C rung is tested against.
 
-Set ``REPRO_KERNEL_BACKEND=numba|cc|numpy`` to pin a specific rung (a
-pinned rung that fails to load raises instead of falling through); set
+Set ``REPRO_KERNEL_BACKEND=cc|numpy`` to pin a rung (a pinned rung that
+fails to load raises instead of falling through); set
 ``REPRO_KERNEL_CACHE`` to relocate the on-disk cache shared by pool
-workers.  All three implementations are bit-identical: kernels perform
-only integer arithmetic, data movement, and element-wise float math, so
-no float reduction is ever reordered relative to numpy.
+workers.  Both rungs are bit-identical: kernels perform only integer
+arithmetic, data movement, and element-wise float math, so no float
+reduction is ever reordered relative to numpy.
 
-Compile/bind time (C build + ctypes load, Numba JIT during
-:func:`warmup`) is accounted in :func:`compile_seconds` so the engine
-can report the compile-vs-run split in ``PerfStats``.
+Build/bind time (C build + ctypes load) is accounted in
+:func:`compile_seconds` so the engine can report the compile-vs-run
+split in ``PerfStats``.
 """
 
 from __future__ import annotations
@@ -46,15 +44,13 @@ __all__ = [
     "mmu_scatter_reset",
     "node_accumulate",
     "node_rle",
-    "numba_available",
-    "numba_version",
     "score_detected",
     "span_entries",
     "span_majority",
     "warmup",
 ]
 
-_CHOICES = ("numba", "cc", "numpy")
+_CHOICES = ("cc", "numpy")
 
 _impl: ModuleType | None = None
 _backend: str | None = None
@@ -80,10 +76,7 @@ def kernel_cache_dir() -> Path:
 def _load(choice: str) -> ModuleType:
     global _compile_seconds
     start = time.perf_counter()
-    if choice == "numba":
-        os.environ.setdefault("NUMBA_CACHE_DIR", str(kernel_cache_dir()))
-        from . import _numba as mod
-    elif choice == "cc":
+    if choice == "cc":
         from . import _cc as mod
 
         mod.load(kernel_cache_dir())
@@ -106,41 +99,20 @@ def _resolve() -> ModuleType:
         _impl = _load(forced)
         _backend = forced
         return _impl
-    for choice in _CHOICES[:-1]:
-        try:
-            _impl = _load(choice)
-            _backend = choice
-            return _impl
-        except Exception:  # noqa: BLE001,PERF203 - one-shot rung ladder
-            continue
-    _impl = _load("numpy")
-    _backend = "numpy"
+    try:
+        _impl = _load("cc")
+        _backend = "cc"
+    except Exception:  # noqa: BLE001 - no compiler: take the numpy rung
+        _impl = _load("numpy")
+        _backend = "numpy"
     return _impl
 
 
 def active_backend() -> str:
-    """The resolved kernel implementation: ``numba``/``cc``/``numpy``."""
+    """The resolved kernel implementation: ``cc`` or ``numpy``."""
     _resolve()
     assert _backend is not None
     return _backend
-
-
-def numba_available() -> bool:
-    """Whether Numba is importable (independent of the active backend)."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def numba_version() -> str | None:
-    """The installed Numba version, or ``None`` when absent."""
-    try:
-        import numba
-    except ImportError:
-        return None
-    return getattr(numba, "__version__", "unknown")
 
 
 def compile_seconds() -> float:
@@ -149,13 +121,12 @@ def compile_seconds() -> float:
 
 
 def warmup() -> float:
-    """Force every kernel through its first (compiling) call.
+    """Resolve the rung and run every kernel once on tiny inputs.
 
-    Numba JIT-compiles lazily on first call; running each kernel once on
-    tiny inputs here moves that latency out of measured regions and —
-    called before a pool fork — lets workers inherit the compiled
-    machine code.  The elapsed time is added to
-    :func:`compile_seconds`.  Idempotent after the first call.
+    Moves the C build/load latency out of measured regions and — called
+    before a pool fork — lets workers inherit the bound shared object.
+    The elapsed time is added to :func:`compile_seconds`.  Idempotent
+    after the first call.
     """
     global _compile_seconds, _warmed
     if _warmed:

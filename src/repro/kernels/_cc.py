@@ -1,8 +1,7 @@
-"""C implementations of the compiled kernels, built with the system ``cc``.
+"""C implementations of the kernels, built with the system ``cc``.
 
-This is the middle rung of the backend ladder: machines without Numba
-but with any C compiler on ``PATH`` (gcc/clang) still get genuinely
-compiled hot loops.  The source below is embedded as a string, written
+This is the rung used wherever any C compiler is on ``PATH``
+(gcc/clang).  The source below is embedded as a string, written
 to the shared kernel cache directory, compiled once per source revision
 (``cc -O3 -march=native -shared -fPIC``, with a portable-flag retry)
 into a hash-keyed shared object, and bound
@@ -255,49 +254,25 @@ void repro_score_detected(int64_t n, const int64_t *detected, int64_t *out) {
 }
 """
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_I16 = ctypes.POINTER(ctypes.c_int16)
-_I8 = ctypes.POINTER(ctypes.c_int8)
-_U16 = ctypes.POINTER(ctypes.c_uint16)
+#: Array arguments travel as raw addresses (``ndarray.ctypes.data``), so
+#: every array handed to C must be C-contiguous with the dtype its C
+#: parameter names, and stay referenced (a local or an argument) for
+#: the call.  Wrappers convert the inputs that may arrive otherwise.
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
 
 _SIGNATURES = {
-    "repro_scatter_reset": (None, [ctypes.c_int64, _I64, _I64, _I64, _I8]),
+    "repro_scatter_reset": (None, [_I, _P, _P, _P, _P]),
     "repro_mmu_ingest": (
         None,
-        [
-            ctypes.c_int64,
-            _I64,
-            _I64,
-            _I64,
-            _I8,
-            _I64,
-            _I64,
-            _I64,
-            _I8,
-            _U16,
-            _I64,
-            _I64,
-            ctypes.c_uint16,
-            ctypes.c_uint16,
-        ],
+        [_I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P,
+         ctypes.c_uint16, ctypes.c_uint16],
     ),
-    "repro_node_rle": (
-        ctypes.c_int64,
-        [ctypes.c_int64, _I16, ctypes.c_int64, _I64, _I64],
-    ),
-    "repro_span_majority": (
-        None,
-        [ctypes.c_int64, _I64, _I64, ctypes.c_int64, _I64, _I64, ctypes.c_int64, _I64, _I64],
-    ),
-    "repro_span_entries": (
-        ctypes.c_int64,
-        [ctypes.c_int64, _I64, _I64, _I64, _I64, _I64],
-    ),
-    "repro_node_accumulate": (
-        None,
-        [ctypes.c_int64, _I16, _I64, _I64, ctypes.c_int64, _I64, _I64],
-    ),
-    "repro_score_detected": (None, [ctypes.c_int64, _I64, _I64]),
+    "repro_node_rle": (_I, [_I, _P, _I, _P, _P]),
+    "repro_span_majority": (None, [_I, _P, _P, _I, _P, _P, _I, _P, _P]),
+    "repro_span_entries": (_I, [_I, _P, _P, _P, _P, _P]),
+    "repro_node_accumulate": (None, [_I, _P, _P, _P, _I, _P, _P]),
+    "repro_score_detected": (None, [_I, _P, _P]),
 }
 
 _lib: ctypes.CDLL | None = None
@@ -372,27 +347,15 @@ def load(cache_dir: Path) -> None:
     _lib = lib
 
 
-def _i64(a: np.ndarray):
-    return a.ctypes.data_as(_I64)
-
-
-def _i16(a: np.ndarray):
-    return a.ctypes.data_as(_I16)
-
-
-def _i8(a: np.ndarray):
-    return a.ctypes.data_as(_I8)
-
-
-def _u16(a: np.ndarray):
-    return a.ctypes.data_as(_U16)
+def _p(a: np.ndarray) -> int:
+    return a.ctypes.data
 
 
 def mmu_scatter_reset(touched, entry_counts, entry_writes, entry_socket):
     """Reset interval state of previously-touched entries."""
     _lib.repro_scatter_reset(
-        touched.size, _i64(touched), _i64(entry_counts), _i64(entry_writes),
-        _i8(entry_socket),
+        touched.size, _p(touched), _p(entry_counts), _p(entry_writes),
+        _p(entry_socket),
     )
 
 
@@ -403,9 +366,9 @@ def mmu_ingest(
 ):
     """Fused interval ingest for a strictly-ascending unique page batch."""
     _lib.repro_mmu_ingest(
-        entries.size, _i64(entries), _i64(counts), _i64(writes), _i8(sockets),
-        _i64(pages), _i64(entry_counts), _i64(entry_writes), _i8(entry_socket),
-        _u16(flags), _i64(cumulative_counts), _i64(cumulative_writes),
+        entries.size, _p(entries), _p(counts), _p(writes), _p(sockets),
+        _p(pages), _p(entry_counts), _p(entry_writes), _p(entry_socket),
+        _p(flags), _p(cumulative_counts), _p(cumulative_writes),
         accessed_bit, dirty_bit,
     )
 
@@ -418,7 +381,7 @@ def node_rle(node):
         bounds = np.empty(cap + 1, dtype=np.int64)
         values = np.empty(cap, dtype=np.int64)
         runs = int(
-            _lib.repro_node_rle(n, _i16(node), cap, _i64(bounds), _i64(values))
+            _lib.repro_node_rle(n, _p(node), cap, _p(bounds), _p(values))
         )
         if runs <= cap:
             return bounds[: runs + 1], values[:runs]
@@ -438,8 +401,8 @@ def span_majority(starts, npages, bounds, values):
     scratch = np.empty(n_nodes, dtype=np.int64)
     out = np.empty(starts.size, dtype=np.int64)
     _lib.repro_span_majority(
-        starts.size, _i64(starts), _i64(npages), bounds.size, _i64(bounds),
-        _i64(values), n_nodes, _i64(scratch), _i64(out),
+        starts.size, _p(starts), _p(npages), bounds.size, _p(bounds),
+        _p(values), n_nodes, _p(scratch), _p(out),
     )
     return out
 
@@ -455,8 +418,8 @@ def span_entries(starts, npages, entry):
     out_counts = np.empty(starts.size, dtype=np.int64)
     k = int(
         _lib.repro_span_entries(
-            starts.size, _i64(starts), _i64(npages), _i64(entry),
-            _i64(out_entries), _i64(out_counts),
+            starts.size, _p(starts), _p(npages), _p(entry),
+            _p(out_entries), _p(out_counts),
         )
     )
     offsets = np.empty(starts.size + 1, dtype=np.int64)
@@ -468,11 +431,13 @@ def span_entries(starts, npages, entry):
 def node_accumulate(nodes, counts, writes, n_slots):
     """Per-node int64 access/write sums (slot 0 = unmapped)."""
     nodes = np.ascontiguousarray(nodes, dtype=np.int16)
+    if nodes.size and not -1 <= int(nodes.min()) <= int(nodes.max()) < n_slots - 1:
+        raise ValueError(f"node ids outside [-1, {n_slots - 2}]")
     acc = np.zeros(n_slots, dtype=np.int64)
     wr = np.zeros(n_slots, dtype=np.int64)
     _lib.repro_node_accumulate(
-        nodes.size, _i16(nodes), _i64(counts), _i64(writes), n_slots,
-        _i64(acc), _i64(wr),
+        nodes.size, _p(nodes), _p(counts), _p(writes), n_slots,
+        _p(acc), _p(wr),
     )
     return acc, wr
 
@@ -480,6 +445,8 @@ def node_accumulate(nodes, counts, writes, n_slots):
 def score_detected(detected):
     """Fused ``(sum, min, max, argmax)`` of detected counts."""
     detected = np.ascontiguousarray(detected, dtype=np.int64)
+    if detected.size == 0:
+        raise ValueError("score_detected of an empty array")
     out = np.empty(4, dtype=np.int64)
-    _lib.repro_score_detected(detected.size, _i64(detected), _i64(out))
+    _lib.repro_score_detected(detected.size, _p(detected), _p(out))
     return int(out[0]), int(out[1]), int(out[2]), int(out[3])

@@ -1,17 +1,15 @@
-"""Pure-numpy reference implementations of every compiled kernel.
+"""Pure-numpy reference implementations of every kernel.
 
-This module is the always-available floor of the backend ladder: each
-function here is the *definition* of its kernel's semantics, written as
-the same array pipeline the vectorized (PR-2/PR-3) hot paths use.  The
-Numba and C backends must be bit-identical to these — the differential
-suite in ``tests/test_kernels.py`` asserts it — which is possible
-because every kernel is pure integer arithmetic and data movement (or
-element-wise float math); none of them re-orders a float reduction.
+Each function here is the *definition* of its kernel's semantics.  The
+C rung must be bit-identical to these — the differential suite in
+``tests/test_kernels.py`` asserts it — which is possible because every
+kernel is pure integer arithmetic and data movement (or element-wise
+float math); none of them re-orders a float reduction.
 
-Keeping the fallback in its own module means a machine with neither
-Numba nor a C compiler still runs the ``compiled`` backend tier
-correctly (it simply is the vectorized path, re-entered through the
-kernel interface).
+This module is also the only rung on machines without a C compiler,
+and the one chunked page-table storage calls directly (its
+:class:`~repro.mm.chunked.ChunkedArray` state has no flat buffer to hand
+to C).
 """
 
 from __future__ import annotations
@@ -132,22 +130,40 @@ def span_entries(
     """
     if starts.size == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    pages, span_id = span_pages(starts, npages)
+    return span_first_entries(entry[pages], span_id, starts.size)
+
+
+def span_pages(starts: np.ndarray, npages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated pages of many spans, and each page's span index."""
     bounds = np.concatenate(([0], np.cumsum(npages)))
-    total = int(bounds[-1])
     span_id = np.repeat(np.arange(starts.size), npages)
     pages = (
-        np.arange(total, dtype=np.int64)
+        np.arange(int(bounds[-1]), dtype=np.int64)
         - np.repeat(bounds[:-1], npages)
         + np.repeat(starts, npages)
     )
-    entries = entry[pages]
-    first = np.empty(total, dtype=bool)
+    return pages, span_id
+
+
+def span_first_entries(
+    entries: np.ndarray,
+    span_id: np.ndarray,
+    nspans: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop repeats within each span of per-page ``entries``.
+
+    ``entries`` is non-decreasing within each span, so first occurrences
+    are the span's sorted unique entries; returns ``(entries, offsets)``
+    as :func:`span_entries` does.
+    """
+    first = np.empty(entries.size, dtype=bool)
     first[0] = True
     np.logical_or(
         entries[1:] != entries[:-1], span_id[1:] != span_id[:-1], out=first[1:]
     )
     offsets = np.concatenate(
-        ([0], np.cumsum(np.bincount(span_id[first], minlength=starts.size)))
+        ([0], np.cumsum(np.bincount(span_id[first], minlength=nspans)))
     )
     return entries[first], offsets
 

@@ -3,10 +3,10 @@
 :class:`PerfStats` records *real* (host wall-clock) seconds spent in each
 engine phase, as opposed to the simulated seconds the
 :class:`~repro.sim.clock.Clock` accounts.  It exists so the performance
-work — vectorized hot paths, the trace cache, the snapshot/fork engine,
-the parallel matrix runner — can be measured and regression-gated
+work — the kernels, the trace cache, the snapshot/fork engine, the
+parallel matrix runner — can be measured and regression-gated
 (``benchmarks/bench_perf_smoke.py``) without touching simulated timing,
-which must stay bit-identical across all of those switches.
+which must stay bit-identical across all of them.
 
 Besides per-phase totals, each phase keeps its per-interval duration
 samples so tail behaviour is visible: :meth:`PerfStats.percentiles`
@@ -109,9 +109,9 @@ class PerfStats:
         total_seconds: whole ``run()`` call, including phases not broken
             out above (MMU application, PCM counting, bookkeeping).
         compile_seconds: kernel compile/bind time attributed to this run
-            (the :mod:`repro.kernels` build/JIT work that happened during
+            (the :mod:`repro.kernels` C build/load that happened during
             it); separates one-time compile latency from steady-state
-            run time when the compiled backend is active.
+            run time.
         intervals: intervals simulated.
         cache: trace-cache counters, when a cache served this run.
         snapshots: snapshot-cache counters, when a sweep forked this run

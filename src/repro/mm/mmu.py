@@ -33,20 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels, perfflags
+from repro import kernels
 from repro.errors import ConfigError
+from repro.kernels import _fallback
 from repro.mm.chunked import ChunkedArray
 from repro.mm.pagetable import PageTable
 from repro.mm.pte import PteFlag
 from repro.sim.trace import AccessBatch
-
-
-def _add_at(arr, idx: np.ndarray, vals: np.ndarray) -> None:
-    """``np.add.at`` over either storage layout."""
-    if isinstance(arr, ChunkedArray):
-        arr.add_at(idx, vals)
-    else:
-        np.add.at(arr, idx, vals)
 
 
 class Mmu:
@@ -92,29 +85,22 @@ class Mmu:
         Sets PTE access/dirty bits for touched entries and refreshes the
         interval histograms that scan/sample primitives read.
         """
-        if batch.pages.size and np.any(batch.sockets >= self.num_sockets):
-            raise ConfigError("batch attributes accesses to a nonexistent socket")
-        if perfflags.vectorized():
-            # Scatter-reset: only the entries the previous interval touched
-            # are non-default, so resetting just those is bit-identical to
-            # (and far cheaper than) three full-array fills.
-            touched = self._touched_entries
-            if touched is not None and touched.size:
-                if perfflags.compiled() and not self.page_table.chunked:
-                    kernels.mmu_scatter_reset(
-                        touched,
-                        self._entry_counts,
-                        self._entry_writes,
-                        self._entry_socket,
-                    )
-                else:
-                    self._entry_counts[touched] = 0
-                    self._entry_writes[touched] = 0
-                    self._entry_socket[touched] = -1
-        else:
-            self._entry_counts.fill(0)
-            self._entry_writes.fill(0)
-            self._entry_socket.fill(-1)
+        if batch.pages.size:
+            if np.any(batch.sockets >= self.num_sockets):
+                raise ConfigError("batch attributes accesses to a nonexistent socket")
+            # Pages are ascending (the AccessBatch invariant), so the ends
+            # bound them all.
+            if batch.pages[0] < 0 or batch.pages[-1] >= self.page_table.n_pages:
+                raise ConfigError("batch touches pages outside the address space")
+        # Scatter-reset: only the entries the previous interval touched
+        # are non-default, so resetting just those equals three
+        # full-array fills.
+        kern = _fallback if self.page_table.chunked else kernels
+        touched = self._touched_entries
+        if touched is not None and touched.size:
+            kern.mmu_scatter_reset(
+                touched, self._entry_counts, self._entry_writes, self._entry_socket
+            )
         self._touched_entries = None
         self._current_batch = batch
         self.interval_index += 1
@@ -123,59 +109,25 @@ class Mmu:
 
         entries = self.page_table.entry_index(batch.pages)
         self._touched_entries = entries
-        if perfflags.vectorized() and (
-            batch.pages.size < 2 or np.all(batch.pages[1:] > batch.pages[:-1])
-        ):
-            if perfflags.compiled() and not self.page_table.chunked:
-                # One fused compiled pass: per-entry accumulation (every
-                # touched slot is zero after the reset above, so += equals
-                # the run-sum assignment), socket attribution, PTE
-                # access/dirty bits, and cumulative ground truth.
-                kernels.mmu_ingest(
-                    entries,
-                    batch.counts,
-                    batch.writes,
-                    batch.sockets,
-                    batch.pages,
-                    self._entry_counts,
-                    self._entry_writes,
-                    self._entry_socket,
-                    self.page_table.flags,
-                    self.cumulative_counts,
-                    self.cumulative_writes,
-                    int(PteFlag.ACCESSED),
-                    int(PteFlag.DIRTY),
-                )
-                return
-            # Strictly-ascending unique pages (the AccessBatch histogram
-            # invariant): per-entry sums are contiguous-run reductions over
-            # the non-decreasing entry array, and every slot being summed
-            # into is zero after the reset above — both bit-identical to
-            # (and far cheaper than) ``np.add.at`` scatter-adds.
-            keep = np.empty(entries.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(entries[1:], entries[:-1], out=keep[1:])
-            idx = np.flatnonzero(keep)
-            if idx.size == entries.size:
-                self._entry_counts[entries] = batch.counts
-                self._entry_writes[entries] = batch.writes
-            else:
-                self._entry_counts[entries[idx]] = np.add.reduceat(batch.counts, idx)
-                self._entry_writes[entries[idx]] = np.add.reduceat(batch.writes, idx)
-            self._entry_socket[entries] = batch.sockets
-            self.page_table.set_accessed(entries, written=batch.writes > 0)
-            self.cumulative_counts[batch.pages] += batch.counts
-            self.cumulative_writes[batch.pages] += batch.writes
-            return
-        _add_at(self._entry_counts, entries, batch.counts)
-        _add_at(self._entry_writes, entries, batch.writes)
-        # Dominant socket per entry: last writer wins among equal pages is
-        # acceptable because batches already carry per-page dominants.
-        self._entry_socket[entries] = batch.sockets
-
-        self.page_table.set_accessed(entries, written=batch.writes > 0)
-        _add_at(self.cumulative_counts, batch.pages, batch.counts)
-        _add_at(self.cumulative_writes, batch.pages, batch.writes)
+        # One fused pass over the batch (strictly-ascending unique pages,
+        # the AccessBatch invariant): per-entry accumulation, socket
+        # attribution, PTE access/dirty bits, and cumulative ground
+        # truth.  Chunked storage takes the numpy reference kernel.
+        kern.mmu_ingest(
+            entries,
+            batch.counts,
+            batch.writes,
+            batch.sockets,
+            batch.pages,
+            self._entry_counts,
+            self._entry_writes,
+            self._entry_socket,
+            self.page_table.flags,
+            self.cumulative_counts,
+            self.cumulative_writes,
+            int(PteFlag.ACCESSED),
+            int(PteFlag.DIRTY),
+        )
 
     @property
     def current_batch(self) -> AccessBatch:

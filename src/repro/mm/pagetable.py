@@ -28,6 +28,7 @@ import numpy as np
 
 from repro import kernels, perfflags
 from repro.errors import ConfigError, TranslationError
+from repro.kernels import _fallback
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES, ChunkedArray
 from repro.mm.layout import PageTableGeometry, X86_64_GEOMETRY
 from repro.mm.pte import PteFlag
@@ -276,15 +277,10 @@ class PageTable:
         mapping it is the huge head (the single PMD entry).
         """
         pages = np.asarray(pages, dtype=np.int64)
-        if perfflags.vectorized():
-            # The maintained page->entry map: one gather, no flag math.
-            if self.chunked:
-                return pages + self._entry_delta[pages]
-            return self._entry[pages]
-        huge = (self.flags[pages] & PteFlag.HUGE) != 0
-        entries = pages.copy()
-        entries[huge] = pages[huge] - (pages[huge] % PAGES_PER_HUGE_PAGE)
-        return entries
+        # The maintained page->entry map: one gather, no flag math.
+        if self.chunked:
+            return pages + self._entry_delta[pages]
+        return self._entry[pages]
 
     def span_entries(self, starts: np.ndarray, npages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unique leaf entries of many ``[start, start+npages)`` spans at once.
@@ -300,24 +296,15 @@ class PageTable:
         npages = np.asarray(npages, dtype=np.int64)
         if starts.size == 0:
             return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-        if perfflags.compiled() and not self.chunked:
-            # Single fused pass over the dense entry map — no
-            # concatenated-pages materialization.
+        if starts.min() < 0 or npages.min() < 0 or (starts + npages).max() > self.n_pages:
+            raise ConfigError(f"span outside space of {self.n_pages} pages")
+        if not self.chunked:
             return kernels.span_entries(starts, npages, self._entry)
-        bounds = np.concatenate(([0], np.cumsum(npages)))
-        total = int(bounds[-1])
-        span_id = np.repeat(np.arange(starts.size), npages)
-        pages = np.arange(total, dtype=np.int64) - np.repeat(bounds[:-1], npages) + np.repeat(starts, npages)
-        entries = self.entry_index(pages)
-        first = np.empty(total, dtype=bool)
-        first[0] = True
-        np.logical_or(
-            entries[1:] != entries[:-1], span_id[1:] != span_id[:-1], out=first[1:]
-        )
-        offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(span_id[first], minlength=starts.size)))
-        )
-        return entries[first], offsets
+        # Chunked storage keeps the entry map as deltas, so resolve the
+        # concatenated spans' entries first and dedup them with the
+        # reference kernel's own steps.
+        pages, span_id = _fallback.span_pages(starts, npages)
+        return _fallback.span_first_entries(self.entry_index(pages), span_id, starts.size)
 
     def _node_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """Run-length encoding of ``node``: ``(bounds, values)``.
@@ -330,15 +317,8 @@ class PageTable:
         if self._node_rle is None or self._node_rle[0] != self._node_version:
             if self.chunked:
                 bounds, values = self._node_runs_chunked()
-            elif perfflags.compiled():
-                bounds, values = kernels.node_rle(self.node)
             else:
-                change = np.flatnonzero(self.node[1:] != self.node[:-1])
-                bounds = np.empty(change.size + 2, dtype=np.int64)
-                bounds[0] = 0
-                bounds[1:-1] = change + 1
-                bounds[-1] = self.n_pages
-                values = self.node[bounds[:-1]].astype(np.int64)
+                bounds, values = kernels.node_rle(self.node)
             self._node_rle = (self._node_version, bounds, values)
         return self._node_rle[1], self._node_rle[2]
 
@@ -385,36 +365,7 @@ class PageTable:
         if starts.size == 0:
             return np.empty(0, dtype=np.int64)
         bounds, values = self._node_runs()
-        if perfflags.compiled():
-            return kernels.span_majority(starts, npages, bounds, values)
-        ends = starts + npages
-        lo = np.searchsorted(bounds, starts, side="right") - 1
-        hi = np.searchsorted(bounds, ends, side="left")  # runs [lo, hi) overlap
-        nruns = np.maximum(hi - lo, 0)
-        offs = np.concatenate(([0], np.cumsum(nruns)))
-        span_id = np.repeat(np.arange(starts.size), nruns)
-        ridx = (
-            np.arange(int(offs[-1]), dtype=np.int64)
-            - np.repeat(offs[:-1], nruns)
-            + np.repeat(lo, nruns)
-        )
-        weights = np.minimum(bounds[ridx + 1], np.repeat(ends, nruns)) - np.maximum(
-            bounds[ridx], np.repeat(starts, nruns)
-        )
-        nodes = values[ridx]
-        mapped = (nodes >= 0) & (weights > 0)
-        result = np.full(starts.size, -1, dtype=np.int64)
-        if not np.any(mapped):
-            return result
-        n_nodes = int(nodes[mapped].max()) + 1
-        counts = np.bincount(
-            span_id[mapped] * n_nodes + nodes[mapped],
-            weights=weights[mapped],
-            minlength=starts.size * n_nodes,
-        ).reshape(starts.size, n_nodes)
-        has_mapped = counts.sum(axis=1) > 0
-        result[has_mapped] = np.argmax(counts[has_mapped], axis=1)
-        return result
+        return kernels.span_majority(starts, npages, bounds, values)
 
     def huge_heads(self) -> np.ndarray:
         """Heads of all current huge mappings, ascending."""

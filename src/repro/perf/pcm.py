@@ -8,9 +8,7 @@ counted here; mechanism copies are charged by the migration planner.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import kernels, perfflags
+from repro import kernels
 from repro.hw.topology import TierTopology
 from repro.mm.pagetable import PageTable
 from repro.sim.trace import AccessBatch
@@ -34,34 +32,14 @@ class PcmCounters:
         if batch.pages.size == 0:
             return
         nodes = page_table.node_of(batch.pages)
-        if perfflags.compiled():
-            # Compiled integer histogram; exact sums match the weighted
-            # float bincount below bit-for-bit (counts stay below 2**53).
-            length = max(self.topology.node_ids) + 2
-            acc, wr = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
-            for node in self.topology.node_ids:
-                if acc[node + 1] or wr[node + 1]:
-                    self.node_accesses[node] += int(acc[node + 1])
-                    self.node_writes[node] += int(wr[node + 1])
-            return
-        if perfflags.vectorized():
-            # One weighted histogram instead of a mask + two sums per node.
-            # Unmapped pages (node -1) are shifted into bin 0 and dropped,
-            # matching the per-node masks below.
-            shifted = nodes.astype(np.int64) + 1
-            length = max(self.topology.node_ids) + 2
-            acc = np.bincount(shifted, weights=batch.counts, minlength=length)
-            wr = np.bincount(shifted, weights=batch.writes, minlength=length)
-            for node in self.topology.node_ids:
-                if acc[node + 1] or wr[node + 1]:
-                    self.node_accesses[node] += int(acc[node + 1])
-                    self.node_writes[node] += int(wr[node + 1])
-            return
+        # Integer per-node histogram; slot 0 collects unmapped pages
+        # (node -1), which no counter sees.
+        length = max(self.topology.node_ids) + 2
+        acc, wr = kernels.node_accumulate(nodes, batch.counts, batch.writes, length)
         for node in self.topology.node_ids:
-            mask = nodes == node
-            if np.any(mask):
-                self.node_accesses[node] += int(batch.counts[mask].sum())
-                self.node_writes[node] += int(batch.writes[mask].sum())
+            if acc[node + 1] or wr[node + 1]:
+                self.node_accesses[node] += int(acc[node + 1])
+                self.node_writes[node] += int(wr[node + 1])
 
     def tier_accesses(self, socket: int = 0) -> dict[int, int]:
         """Access counts keyed by 1-based tier rank in ``socket``'s view.

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import perfflags
 from repro.errors import ConfigError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
@@ -197,32 +196,19 @@ class DamonProfiler(Profiler):
         if obs is not None:
             self._emit_formation(obs, merges=merges_delta, splits=splits_delta)
 
-        if perfflags.incremental():
-            # Resolve every region's resident node in one RLE pass rather
-            # than a per-region O(npages) slice; bit-identical ordering.
-            starts, sizes, _ = self.regions.as_arrays()
-            nodes = page_table.span_majority_nodes(starts, sizes)
-            reports = [
-                RegionReport(
-                    start=r.start,
-                    npages=r.npages,
-                    score=r.hi,
-                    whi=r.hi,
-                    node=int(nodes[j]),
-                )
-                for j, r in enumerate(self.regions)
-            ]
-        else:
-            reports = [
-                RegionReport(
-                    start=r.start,
-                    npages=r.npages,
-                    score=r.hi,
-                    whi=r.hi,
-                    node=r.node(page_table),
-                )
-                for r in self.regions
-            ]
+        # Resolve every region's resident node in one RLE pass.
+        starts, sizes, _ = self.regions.as_arrays()
+        nodes = page_table.span_majority_nodes(starts, sizes)
+        reports = [
+            RegionReport(
+                start=r.start,
+                npages=r.npages,
+                score=r.hi,
+                whi=r.hi,
+                node=int(nodes[j]),
+            )
+            for j, r in enumerate(self.regions)
+        ]
         # The scans happened over one wall-clock interval that stands for
         # the paper's 10 s; charge the same *fraction* of the simulated
         # interval.

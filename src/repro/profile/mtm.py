@@ -30,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import nputil
-
-from repro import kernels, perfflags
+from repro import kernels, nputil
 from repro.errors import ConfigError, SampleLossError
 from repro.mm.mmu import Mmu
 from repro.mm.pagetable import PageTable
@@ -77,11 +75,6 @@ class MtmProfilerConfig:
             hot region into cold neighbours (formation-model ablation).
         heterogeneity_guard: False lets internally mixed regions merge
             (formation-model ablation).
-        vectorized: resolve region entries and resident nodes for all
-            regions in bulk array operations instead of per-region loops.
-            Bit-identical to the loop path (the differential tests assert
-            it); False forces the legacy path regardless of the global
-            :mod:`repro.perfflags` switch.
     """
 
     interval: float = 10.0
@@ -104,7 +97,6 @@ class MtmProfilerConfig:
     guided_splits: bool = True
     ema_merge_guard: bool = True
     heterogeneity_guard: bool = True
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.num_scans < 1:
@@ -266,43 +258,27 @@ class MtmProfiler(Profiler):
         to_profile: list[tuple[MemoryRegion, np.ndarray]] = []
         idle: list[MemoryRegion] = []
         pebs_active = cfg.use_pebs and pebs is not None
-        use_vec = cfg.vectorized and perfflags.vectorized()
-        use_inc = use_vec and perfflags.incremental()
-        region_entries: list[np.ndarray] | None = None
         with obs.span("scan.resolve", cat="profile") if obs is not None else nullcontext():
-            if use_vec:
-                # Bulk-resolve every region's entries (and, when the PEBS filter
-                # needs them, resident nodes) in one pass over the page table.
-                # The per-region loop below then only slices precomputed arrays;
-                # all RNG draws keep their exact legacy order and arguments.
-                starts_arr, npages_arr, _ = self.regions.as_arrays()
-                if use_inc:
-                    # O(touched): serve unchanged regions from the entry cache
-                    # and gather only spans invalidated by formation or by
-                    # huge-page transitions since last interval.
-                    region_entries = self._resolve_entries_cached(
-                        page_table, starts_arr, npages_arr
-                    )
-                else:
-                    ents_all, ents_offs = page_table.span_entries(starts_arr, npages_arr)
-                nodes_all = (
-                    page_table.span_majority_nodes(starts_arr, npages_arr)
-                    if pebs_active
-                    else None
-                )
+            # Resolve every region's entries (and, when the PEBS filter
+            # needs them, resident nodes) in bulk; the per-region loop
+            # below only slices them, keeping every RNG draw in order.
+            # Unchanged regions come from the entry cache, so only spans
+            # invalidated by formation or huge-page transitions since
+            # last interval are gathered.
+            starts_arr, npages_arr, _ = self.regions.as_arrays()
+            region_entries = self._resolve_entries_cached(
+                page_table, starts_arr, npages_arr
+            )
+            nodes_all = (
+                page_table.span_majority_nodes(starts_arr, npages_arr)
+                if pebs_active
+                else None
+            )
             for idx, region in enumerate(regions):
-                if region_entries is not None:
-                    entries = region_entries[idx]
-                elif use_vec:
-                    entries = ents_all[ents_offs[idx] : ents_offs[idx + 1]]
-                else:
-                    entries = region.entries(page_table)
+                entries = region_entries[idx]
                 if entries.size == 0:
                     continue
-                if pebs_active:
-                    node = int(nodes_all[idx]) if use_vec else region.node(page_table)
-                else:
-                    node = -1
+                node = int(nodes_all[idx]) if pebs_active else -1
                 if pebs_active and node in self.slowest_nodes:
                     # Slow tiers are event-driven (Sec. 5.5): regions with no
                     # counter-observed traffic are skipped (and decay); active
@@ -381,30 +357,15 @@ class MtmProfiler(Profiler):
                 detected = mmu.scan_detect(
                     chosen, cfg.num_scans, self.rng, exposure=cfg.scan_exposure
                 )
-                if perfflags.compiled():
-                    # Fused sum/min/max/argmax pass.  total/size equals
-                    # detected.mean() bit-for-bit: detected counts are
-                    # small integers, so numpy's float64 accumulation is
-                    # exact and the final division is the same operation.
-                    total, dmin, dmax, darg = kernels.score_detected(detected)
-                    hi = total / detected.size
-                    max_diff = float(dmax - dmin) if detected.size > 1 else 0.0
-                    region.record_interval(hi, max_diff, cfg.alpha)
-                    region.hottest_entry = (
-                        int(chosen[darg]) if cfg.guided_splits and dmax > 0 else -1
-                    )
-                else:
-                    hi = float(detected.mean())
-                    max_diff = (
-                        float(detected.max() - detected.min()) if detected.size > 1 else 0.0
-                    )
-                    region.record_interval(hi, max_diff, cfg.alpha)
-                    if cfg.guided_splits:
-                        region.hottest_entry = (
-                            int(chosen[int(np.argmax(detected))]) if detected.max() > 0 else -1
-                        )
-                    else:
-                        region.hottest_entry = -1
+                # Fused sum/min/max/argmax pass.  total/size equals
+                # detected.mean() bit-for-bit: detected counts are small
+                # integers, so float64 accumulation is exact.
+                total, dmin, dmax, darg = kernels.score_detected(detected)
+                hi = total / detected.size
+                region.record_interval(hi, float(dmax - dmin), cfg.alpha)
+                region.hottest_entry = (
+                    int(chosen[darg]) if cfg.guided_splits and dmax > 0 else -1
+                )
                 # Hint-fault attribution every hint_every_scans scans (Sec. 6.2).
                 self._scan_counter += int(chosen.size) * cfg.num_scans
                 if self._scan_counter >= cfg.hint_every_scans:
@@ -455,41 +416,25 @@ class MtmProfiler(Profiler):
             self._last_pebs_time = self.cost_model.pebs_time(pebs_samples)
             time += self._last_pebs_time
 
-        if use_vec:
-            # Formation may have changed the region list; resolve resident
-            # nodes for the final layout in one bulk pass.
-            starts2, npages2, _ = self.regions.as_arrays()
-            nodes2 = page_table.span_majority_nodes(starts2, npages2)
-            if use_inc:
-                # Drop cache entries for spans no longer in the layout so
-                # the cache stays bounded by the live region count.
-                live = set(zip(starts2.tolist(), npages2.tolist()))
-                self._entry_cache = {
-                    k: v for k, v in self._entry_cache.items() if k in live
-                }
-            reports = [
-                RegionReport(
-                    start=r.start,
-                    npages=r.npages,
-                    score=r.whi,
-                    whi=r.whi,
-                    node=int(nodes2[j]),
-                    dominant_socket=r.dominant_socket,
-                )
-                for j, r in enumerate(self.regions)
-            ]
-        else:
-            reports = [
-                RegionReport(
-                    start=r.start,
-                    npages=r.npages,
-                    score=r.whi,
-                    whi=r.whi,
-                    node=r.node(page_table),
-                    dominant_socket=r.dominant_socket,
-                )
-                for r in self.regions
-            ]
+        # Formation may have changed the region list; resolve resident
+        # nodes for the final layout in one bulk pass, and drop cache
+        # entries for spans no longer in the layout so the cache stays
+        # bounded by the live region count.
+        starts2, npages2, _ = self.regions.as_arrays()
+        nodes2 = page_table.span_majority_nodes(starts2, npages2)
+        live = set(zip(starts2.tolist(), npages2.tolist()))
+        self._entry_cache = {k: v for k, v in self._entry_cache.items() if k in live}
+        reports = [
+            RegionReport(
+                start=r.start,
+                npages=r.npages,
+                score=r.whi,
+                whi=r.whi,
+                node=int(nodes2[j]),
+                dominant_socket=r.dominant_socket,
+            )
+            for j, r in enumerate(self.regions)
+        ]
         if obs is not None:
             self._emit_scan(
                 obs,

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import nputil
-
-from repro import perfflags
 from repro.errors import ConfigError, ProfilingError
 from repro.mm.pagetable import PageTable
 from repro.units import PAGES_PER_HUGE_PAGE, PAGE_SIZE, format_bytes
@@ -111,31 +108,12 @@ class MemoryRegion:
         self.last_max_diff = float(max_diff)
         self.whi = alpha * self.hi + (1.0 - alpha) * self.whi
 
-    def entries(self, page_table: PageTable) -> np.ndarray:
-        """Unique leaf entries (PTEs / PMD heads) covering this region."""
-        pages = np.arange(self.start, self.end, dtype=np.int64)
-        return nputil.unique(page_table.entry_index(pages))
-
-    def max_samples(self, page_table: PageTable) -> int:
-        """Upper bound on useful samples: distinct entries in the region."""
-        return int(self.entries(page_table).size)
-
     def node(self, page_table: PageTable) -> int:
-        """Component holding the majority of this region's pages (-1 if unmapped)."""
-        if perfflags.incremental():
-            # Run-length resolution over the page table's placement runs:
-            # O(runs overlapping the region) instead of O(npages), and
-            # bit-identical — both paths break majority ties toward the
-            # lowest node id.
-            starts = np.asarray([self.start], dtype=np.int64)
-            sizes = np.asarray([self.npages], dtype=np.int64)
-            return int(page_table.span_majority_nodes(starts, sizes)[0])
-        nodes = page_table.node[self.start : self.end]
-        mapped = nodes[nodes >= 0]
-        if mapped.size == 0:
-            return -1
-        values, counts = nputil.unique_counts(mapped)
-        return int(values[np.argmax(counts)])
+        """Component holding the majority of this region's pages (-1 if
+        unmapped; ties break toward the lowest node id)."""
+        starts = np.asarray([self.start], dtype=np.int64)
+        sizes = np.asarray([self.npages], dtype=np.int64)
+        return int(page_table.span_majority_nodes(starts, sizes)[0])
 
     def pages(self) -> np.ndarray:
         return np.arange(self.start, self.end, dtype=np.int64)

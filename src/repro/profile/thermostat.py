@@ -131,15 +131,17 @@ class ThermostatProfiler(Profiler):
         # is part of why its quality converges slowly (Fig. 1).
         self.regions.end_interval()
 
+        starts, sizes, _ = self.regions.as_arrays()
+        nodes = page_table.span_majority_nodes(starts, sizes)
         reports = [
             RegionReport(
                 start=r.start,
                 npages=r.npages,
                 score=r.hi,
                 whi=r.hi,
-                node=r.node(page_table),
+                node=int(nodes[j]),
             )
-            for r in self.regions
+            for j, r in enumerate(self.regions)
         ]
         return ProfileSnapshot(
             interval=self._interval,

@@ -425,8 +425,8 @@ class SimulationEngine:
         compile_before = kernels.compile_seconds()
         for _ in range(num_intervals):
             self.step()
-        # Attribute kernel compile/JIT work that happened during this run
-        # (first compiled-backend call in the process) so the perf stats
+        # Attribute kernel build/load work that happened during this run
+        # (the first kernel call in the process) so the perf stats
         # separate one-time compile latency from steady-state run time.
         self.perfstats.compile_seconds += kernels.compile_seconds() - compile_before
         return self.result()

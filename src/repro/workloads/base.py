@@ -27,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import nputil
-
-from repro import perfflags
 from repro.errors import WorkloadError
 from repro.hw.placement import Placer
 from repro.mm.hugepage import ThpManager
@@ -151,38 +149,10 @@ class SegmentedWorkload(Workload):
         self._catch_up_segments()
         self._interval += 1
         self._current_segments = self.segments(self._interval)
-        if perfflags.vectorized():
-            return self._next_batch_fast(rng)
-        batches = []
-        for segment in self._current_segments:
-            if segment.rate <= 0:
-                continue
-            counts = rng.poisson(segment.rate, segment.npages)
-            touched = np.nonzero(counts)[0]
-            if touched.size == 0:
-                continue
-            pages = segment.start + touched.astype(np.int64)
-            page_counts = counts[touched].astype(np.int64)
-            writes = rng.binomial(page_counts, segment.write_ratio)
-            batches.append(
-                AccessBatch(
-                    pages=pages,
-                    counts=page_counts,
-                    writes=writes.astype(np.int64),
-                    sockets=np.full(pages.shape, segment.socket, dtype=np.int8),
-                )
-            )
-        return AccessBatch.merge(batches)
-
-    def _next_batch_fast(self, rng: np.random.Generator) -> AccessBatch:
-        """Batch assembly without intermediate per-segment ``AccessBatch``
-        objects.
-
-        RNG draws are identical to the legacy loop (same order, same
-        arguments), so the result is bit-identical; segment lists are
-        normally disjoint and ascending, letting the concatenated arrays
-        skip the unique/scatter-add merge entirely.
-        """
+        # Per-segment Poisson counts and binomial writes, assembled
+        # without intermediate per-segment batches.  Segment lists are
+        # normally disjoint and ascending, letting the concatenated
+        # arrays skip the unique/scatter-add merge entirely.
         pages_l: list[np.ndarray] = []
         counts_l: list[np.ndarray] = []
         writes_l: list[np.ndarray] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import nputil, perfflags
+from repro import nputil
 from repro.errors import ConfigError
 
 
@@ -79,12 +79,10 @@ class CsrGraph:
         the same seeded workload cycles the same root sequence) replay
         from a per-graph memo instead of re-traversing.
         """
-        if perfflags.vectorized():
-            cache = self.__dict__.setdefault("_bfs_cache", {})
-            if root not in cache:
-                cache[root] = self._bfs_levels_uncached(root)
-            return list(cache[root])
-        return self._bfs_levels_uncached(root)
+        cache = self.__dict__.setdefault("_bfs_cache", {})
+        if root not in cache:
+            cache[root] = self._bfs_levels_uncached(root)
+        return list(cache[root])
 
     def _bfs_levels_uncached(self, root: int) -> list[np.ndarray]:
         if not 0 <= root < self.num_vertices:
@@ -119,13 +117,11 @@ class CsrGraph:
         the revisiting that makes SSSP's hot set stickier than BFS's.
         Memoized per ``(root, max_rounds)`` like :meth:`bfs_levels`.
         """
-        if perfflags.vectorized():
-            cache = self.__dict__.setdefault("_sssp_cache", {})
-            key = (root, max_rounds)
-            if key not in cache:
-                cache[key] = self._sssp_rounds_uncached(root, max_rounds)
-            return list(cache[key])
-        return self._sssp_rounds_uncached(root, max_rounds)
+        cache = self.__dict__.setdefault("_sssp_cache", {})
+        key = (root, max_rounds)
+        if key not in cache:
+            cache[key] = self._sssp_rounds_uncached(root, max_rounds)
+        return list(cache[key])
 
     def _sssp_rounds_uncached(self, root: int, max_rounds: int) -> list[np.ndarray]:
         if self.weights is None:
@@ -184,20 +180,16 @@ def generate_power_law_graph(
         weighted: attach positive edge weights (for SSSP).
         seed: RNG seed.
     """
-    if perfflags.vectorized():
-        key = (num_vertices, avg_degree, zipf_a, locality, weighted, seed)
-        hit = _GRAPH_CACHE.get(key)
-        if hit is None:
-            if len(_GRAPH_CACHE) >= _GRAPH_CACHE_MAX:
-                _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-            hit = _generate_power_law_graph(
-                num_vertices, avg_degree, zipf_a, locality, weighted, seed
-            )
-            _GRAPH_CACHE[key] = hit
-        return hit
-    return _generate_power_law_graph(
-        num_vertices, avg_degree, zipf_a, locality, weighted, seed
-    )
+    key = (num_vertices, avg_degree, zipf_a, locality, weighted, seed)
+    hit = _GRAPH_CACHE.get(key)
+    if hit is None:
+        if len(_GRAPH_CACHE) >= _GRAPH_CACHE_MAX:
+            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
+        hit = _generate_power_law_graph(
+            num_vertices, avg_degree, zipf_a, locality, weighted, seed
+        )
+        _GRAPH_CACHE[key] = hit
+    return hit
 
 
 def _generate_power_law_graph(

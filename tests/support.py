@@ -3,8 +3,10 @@
 The central object is :func:`fingerprint`: a structural digest of every
 simulated quantity a :class:`~repro.sim.engine.SimulationResult` carries.
 Two runs are *bit-identical* exactly when their fingerprints compare
-equal — this is the invariant every acceleration switch (``perfflags``,
-``TraceCache``, ``workers=K``, snapshot/fork) is tested against.
+equal — this is the invariant every acceleration (``TraceCache``,
+``workers=K``, snapshot/fork, the kernel rungs, chunked storage) is
+tested against, and what the committed golden corpus
+(``tests/golden/fingerprints.json``) pins.
 """
 
 from __future__ import annotations

@@ -386,10 +386,15 @@ class TestBootstrap:
 # -- bench history trajectory --------------------------------------------------
 
 
+def _noop_experiment(profile):
+    """Stand-in bench driver: reports without simulating."""
+    return f"noop at {profile.name}"
+
+
 class TestHistory:
     def _record(self, path, seconds, metrics=None):
         return append_record(path, driver="bench_x", profile="quick",
-                             seconds=seconds, backend="vectorized",
+                             seconds=seconds, backend="cc",
                              workers=1, metrics=metrics or {})
 
     def test_append_and_read(self, tmp_path):
@@ -400,6 +405,18 @@ class TestHistory:
         records = read_history(path)
         assert [r["seconds"] for r in records] == [1.0, 1.1]
         assert records[1]["metrics"]["m.a"] == 2.1
+
+    def test_bench_main_records_kernel_rung(self, tmp_path, monkeypatch,
+                                            capsys):
+        from repro import kernels
+        from repro.bench.cli import bench_main
+
+        path = tmp_path / HISTORY_NAME
+        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(path))
+        bench_main(_noop_experiment, argv=["--profile", "quick"])
+        (record,) = read_history(path)
+        assert record["backend"] == kernels.active_backend()
+        assert record["profile"] == "quick"
 
     def test_flatten_metrics_numeric_leaves_only(self):
         flat = flatten_metrics({"a": {"b": 1, "c": "skip", "d": True},

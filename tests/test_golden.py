@@ -140,7 +140,8 @@ def test_corpus_covers_every_case():
     assert sorted(load_golden()) == sorted(CASES)
 
 
-@pytest.mark.parametrize("key", sorted(CASES))
+@pytest.mark.parametrize("key", sorted(CASES),
+                         ids=lambda key: key.replace("/", "-"))
 def test_golden_fingerprint(key):
     assert normalize(CASES[key]()) == load_golden()[key]
 

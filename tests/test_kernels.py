@@ -1,20 +1,18 @@
-"""Differential suite for the compiled kernel backend and chunked
-page-table storage.
+"""Differential suite for the kernels and chunked page-table storage.
 
-Two invariants are enforced:
+Three invariants are enforced:
 
-* **backend bit-identity** — the ``compiled`` tier (whatever rung the
-  dispatcher resolved: Numba, the C shared object, or the numpy
-  fallback) produces fingerprint-identical simulations to ``vectorized``
-  and ``legacy``, across solutions, under fault injection, through
-  snapshot fork/resume, and at any worker count;
+* **corpus identity** — whichever rung the dispatcher resolved (the C
+  shared object, or the numpy reference where no compiler exists)
+  reproduces the golden fingerprint corpus (``tests/test_golden.py``)
+  under fault injection, through snapshot fork/resume, and at any
+  worker count;
 * **storage bit-identity** — chunked page tables (including multi-chunk
   layouts far below the auto threshold) are indistinguishable from the
-  dense arrays above the :class:`~repro.mm.pagetable.PageTable` API.
-
-Kernel-level randomized differentials additionally pin every
-:mod:`repro.kernels` entry point to its pure-numpy reference
-(:mod:`repro.kernels._fallback`) on adversarial inputs.
+  dense arrays above the :class:`~repro.mm.pagetable.PageTable` API;
+* **kernel identity** — randomized differentials pin every
+  :mod:`repro.kernels` entry point to its pure-numpy reference
+  (:mod:`repro.kernels._fallback`) on adversarial inputs.
 """
 
 import json
@@ -29,112 +27,93 @@ import repro
 from repro import kernels, perfflags
 from repro.bench.runner import run_matrix, run_solution
 from repro.bench.scaling import BenchProfile
-from repro.core.baselines import make_engine
-from repro.faults.injector import FaultConfig, FaultInjector
 from repro.kernels import _fallback
 from repro.mm.chunked import ChunkedArray
 from repro.mm.pagetable import PageTable
 from repro.sim.engine import SimulationEngine
-from tests.support import fingerprint, matrix_fingerprint
+from tests.support import fingerprint, load_golden, matrix_fingerprint, normalize
+from tests.test_golden import (
+    FAULT_RATE,
+    FAULT_SEED,
+    INTERVALS,
+    SCALE,
+    SEED,
+    engine,
+    golden_key,
+    run_fingerprint,
+    small_chunks,
+)
 
-SCALE = 1 / 512
-SOLUTIONS = ["first-touch", "hmc", "tiered-autonuma", "hemem", "thermostat", "mtm"]
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-@pytest.fixture(scope="module")
-def tiny_profile():
-    return BenchProfile(
-        name="tiny",
-        scale=SCALE,
-        intervals={name: 4 for name in
-                   ("gups", "voltdb", "cassandra", "bfs", "sssp", "spark")},
-        seed=3,
-    )
+def _golden(solution, workload, fault_rate=0.0):
+    return load_golden()[golden_key(solution, workload, SEED, fault_rate)]
 
 
-def _run(solution, workload, profile, backend, **kwargs):
-    with perfflags.backend_mode(backend):
-        return fingerprint(run_solution(solution, workload, profile, **kwargs))
+def _subprocess(code, backend):
+    """Run ``code`` in a fresh interpreter pinned to one kernel rung (the
+    dispatcher caches its resolution per process)."""
+    env = dict(os.environ,
+               REPRO_KERNEL_BACKEND=backend,
+               PYTHONPATH=os.pathsep.join(
+                   [SRC_DIR, os.path.dirname(os.path.dirname(__file__))]
+               ))
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
 
 
 class TestBackendLadder:
-    def test_backend_names_round_trip(self):
-        for name in perfflags.BACKENDS:
-            with perfflags.backend_mode(name):
-                assert perfflags.backend() == name
-        assert perfflags.backend() == "vectorized"
-
-    def test_compiled_requires_vectorized(self):
-        with perfflags.backend_mode("compiled"):
-            perfflags.set_vectorized(False)
-            assert not perfflags.compiled()
-            perfflags.set_vectorized(True)
-            assert perfflags.compiled()
+    """The two rungs: ``cc`` where a compiler exists, else ``numpy``."""
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            perfflags.set_backend("turbo")
+        # The Numba rung is gone: pinning it must fail loudly, not fall
+        # through to another rung.
+        proc = _subprocess("import repro.kernels as k; k.active_backend()",
+                           "numba")
+        assert proc.returncode != 0
+        assert "REPRO_KERNEL_BACKEND='numba' not in ('cc', 'numpy')" in proc.stderr
 
     def test_warmup_is_idempotent_and_accounted(self):
         first = kernels.warmup()
         assert first >= 0.0
         assert kernels.warmup() == 0.0  # second call is a no-op
         assert kernels.compile_seconds() >= first
-        assert kernels.active_backend() in ("numba", "cc", "numpy")
+        assert kernels.active_backend() in ("cc", "numpy")
+        assert perfflags.backend() == "compiled"
 
 
 class TestCompiledBitIdentity:
-    @pytest.mark.parametrize("solution", SOLUTIONS)
-    def test_compiled_equals_vectorized_and_legacy(self, tiny_profile, solution):
-        compiled = _run(solution, "gups", tiny_profile, "compiled")
-        assert compiled == _run(solution, "gups", tiny_profile, "vectorized")
-        assert compiled == _run(solution, "gups", tiny_profile, "legacy")
+    #: The corpus configuration, as a bench profile for the runner paths.
+    PROFILE = BenchProfile(name="golden", scale=SCALE,
+                           intervals={"gups": INTERVALS}, seed=SEED)
 
-    @pytest.mark.parametrize("workload", ["voltdb", "bfs"])
-    def test_compiled_equals_vectorized_other_workloads(self, tiny_profile, workload):
-        assert (_run("mtm", workload, tiny_profile, "compiled")
-                == _run("mtm", workload, tiny_profile, "vectorized"))
-
-    def test_compiled_under_fault_injection(self, tiny_profile):
-        kwargs = dict(fault_rate=0.05, fault_seed=123)
-        compiled = _run("mtm", "gups", tiny_profile, "compiled", **kwargs)
-        legacy = _run("mtm", "gups", tiny_profile, "legacy", **kwargs)
-        assert compiled == legacy
+    def test_compiled_under_fault_injection(self):
+        # Through the bench runner's own fault-injector plumbing.
+        result = run_solution("mtm", "gups", self.PROFILE,
+                              fault_rate=FAULT_RATE, fault_seed=FAULT_SEED)
+        assert normalize(fingerprint(result)) == _golden("mtm", "gups", FAULT_RATE)
 
     def test_compiled_snapshot_fork_resume(self):
-        intervals, warmup = 6, 3
+        warm = engine("mtm", "gups", fault_rate=FAULT_RATE)
+        for _ in range(INTERVALS // 2):
+            warm.step()
+        forked = SimulationEngine.fork(warm.snapshot())
+        resumed = forked.run(INTERVALS - INTERVALS // 2)
+        assert normalize(fingerprint(resumed)) == _golden("mtm", "gups", FAULT_RATE)
 
-        def engine():
-            return make_engine("mtm", "gups", scale=SCALE, seed=3,
-                               injector=FaultInjector(
-                                   FaultConfig.uniform(0.05), seed=123))
-
-        with perfflags.backend_mode("legacy"):
-            reference = fingerprint(engine().run(intervals))
-        with perfflags.backend_mode("compiled"):
-            warm = engine()
-            for _ in range(warmup):
-                warm.step()
-            forked = SimulationEngine.fork(warm.snapshot())
-            resumed = forked.run(intervals - warmup)
-        assert fingerprint(resumed) == reference
-
-    def test_compiled_matrix_any_worker_count(self, tiny_profile):
+    def test_compiled_matrix_any_worker_count(self):
         workloads, solutions = ["gups"], ["first-touch", "mtm"]
-        with perfflags.backend_mode("compiled"):
-            serial = matrix_fingerprint(
-                run_matrix(workloads, solutions, tiny_profile, workers=1))
-            parallel = matrix_fingerprint(
-                run_matrix(workloads, solutions, tiny_profile, workers=2))
-        with perfflags.backend_mode("legacy"):
-            legacy = matrix_fingerprint(
-                run_matrix(workloads, solutions, tiny_profile, workers=1))
-        assert serial == parallel == legacy
+        serial = matrix_fingerprint(
+            run_matrix(workloads, solutions, self.PROFILE, workers=1))
+        parallel = matrix_fingerprint(
+            run_matrix(workloads, solutions, self.PROFILE, workers=2))
+        assert serial == parallel
+        assert normalize(serial) == {
+            "gups": {sol: _golden(sol, "gups") for sol in solutions}}
 
-    def test_compile_seconds_recorded_not_simulated(self, tiny_profile):
-        with perfflags.backend_mode("compiled"):
-            result = run_solution("mtm", "gups", tiny_profile)
+    def test_compile_seconds_recorded_not_simulated(self):
+        result = run_solution("mtm", "gups", self.PROFILE)
         assert result.perf is not None
         assert result.perf.compile_seconds >= 0.0
         assert "compile_seconds" in result.perf.as_dict()
@@ -142,47 +121,27 @@ class TestCompiledBitIdentity:
 
 class TestForcedNumpyRung:
     """``REPRO_KERNEL_BACKEND=numpy`` must pin the dispatcher to the
-    fallback and stay bit-identical (run in a subprocess because the
-    dispatcher caches its resolution per process)."""
-
-    def _subprocess(self, code, backend):
-        env = dict(os.environ,
-                   REPRO_KERNEL_BACKEND=backend,
-                   PYTHONPATH=os.pathsep.join(
-                       [SRC_DIR, os.path.dirname(os.path.dirname(__file__))]
-                   ))
-        return subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
+    reference implementations and still reproduce the corpus."""
 
     def test_numpy_rung_resolves(self):
-        proc = self._subprocess(
-            "import repro.kernels as k; print(k.active_backend(), "
-            "k.numba_available())", "numpy")
+        proc = _subprocess(
+            "import repro.kernels as k; print(k.active_backend())", "numpy")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[0] == "numpy"
 
-    def test_numpy_rung_fingerprint_identical(self, tiny_profile):
+    def test_numpy_rung_fingerprint_identical(self):
         code = """
 import json
-from repro import perfflags
-from repro.bench.runner import run_solution
-from repro.bench.scaling import BenchProfile
-from tests.support import fingerprint
-
-profile = BenchProfile(name="tiny", scale=1 / 512,
-                       intervals={"gups": 4}, seed=3)
-with perfflags.backend_mode("compiled"):
-    print(json.dumps(fingerprint(run_solution("mtm", "gups", profile))))
+from tests.support import normalize
+from tests.test_golden import run_fingerprint
+print(json.dumps(normalize(run_fingerprint("mtm", "gups"))))
 """
-        proc = self._subprocess(code, "numpy")
+        proc = _subprocess(code, "numpy")
         assert proc.returncode == 0, proc.stderr
-        pinned = json.loads(proc.stdout)
-        native = json.loads(json.dumps(
-            _run("mtm", "gups", tiny_profile, "compiled")))
-        assert pinned == native
+        assert json.loads(proc.stdout) == _golden("mtm", "gups")
 
     def test_unknown_rung_rejected(self):
-        proc = self._subprocess(
+        proc = _subprocess(
             "import repro.kernels as k; k.active_backend()", "fortran")
         assert proc.returncode != 0
         assert "fortran" in proc.stderr
@@ -318,6 +277,33 @@ class TestKernelDifferentials:
         for detected in cases:
             assert kernels.score_detected(detected) == \
                 _fallback.score_detected(detected)
+
+
+class TestKernelInputChecks:
+    """Out-of-range input is rejected before any kernel sees a pointer."""
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_spans_outside_space_rejected(self, chunked):
+        from repro.errors import ConfigError
+
+        pt = PageTable(2048, chunked=chunked, chunk_pages=512)
+        pt.map_range(0, 2048, node=0)
+        for starts, npages in (([-1], [4]), ([2040], [16]), ([0], [-3])):
+            with pytest.raises(ConfigError):
+                pt.span_entries(np.array(starts, dtype=np.int64),
+                                np.array(npages, dtype=np.int64))
+
+    def test_empty_score_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.score_detected(np.empty(0, dtype=np.int64))
+
+    def test_node_ids_beyond_slots_rejected(self):
+        if kernels.active_backend() != "cc":
+            pytest.skip("the numpy rung grows its histogram instead")
+        nodes = np.array([0, 5], dtype=np.int16)
+        ones = np.ones(2, dtype=np.int64)
+        with pytest.raises(ValueError):
+            kernels.node_accumulate(nodes, ones, ones, 3)
 
 
 class TestChunkedArray:
@@ -461,19 +447,16 @@ class TestChunkedPageTable:
         with pytest.raises(ConfigError):
             PageTable(2048, chunked=True, chunk_pages=100)
 
-    @pytest.mark.parametrize("backend", ["legacy", "vectorized", "compiled"])
-    def test_chunked_simulation_fingerprints(self, tiny_profile, backend):
-        dense = _run("mtm", "gups", tiny_profile, backend)
+    def test_chunked_simulation_fingerprints(self):
+        dense = run_fingerprint("mtm", "gups")
         with perfflags.chunked_mode(True):
-            chunked = _run("mtm", "gups", tiny_profile, backend)
+            chunked = run_fingerprint("mtm", "gups")
         assert chunked == dense
+        assert normalize(dense) == _golden("mtm", "gups")
 
-    def test_chunked_multi_chunk_simulation(self, tiny_profile, monkeypatch):
-        # Force chunks far smaller than the footprint so the run crosses
-        # many chunk boundaries.
-        import repro.mm.pagetable as pagetable_mod
-        dense = _run("first-touch", "gups", tiny_profile, "compiled")
-        monkeypatch.setattr(pagetable_mod, "DEFAULT_CHUNK_PAGES", 512)
-        with perfflags.chunked_mode(True):
-            chunked = _run("first-touch", "gups", tiny_profile, "compiled")
-        assert chunked == dense
+    def test_chunked_multi_chunk_simulation(self):
+        # Chunks far smaller than the footprint, so the run crosses many
+        # chunk boundaries.
+        with small_chunks():
+            chunked = run_fingerprint("first-touch", "gups")
+        assert normalize(chunked) == _golden("first-touch", "gups")

@@ -57,6 +57,12 @@ class TestIntervalState:
         with pytest.raises(ConfigError):
             mmu.begin_interval(make_batch([vma.start], [1], sockets=[5]))
 
+    def test_pages_outside_space_rejected(self, mmu):
+        n = mmu.page_table.n_pages
+        for pages in ([-1, 3], [0, n]):
+            with pytest.raises(ConfigError):
+                mmu.begin_interval(make_batch(pages, [1, 1]))
+
     def test_current_batch_requires_interval(self, mapped_space):
         fresh = Mmu(mapped_space.page_table)
         with pytest.raises(ConfigError):

@@ -1,15 +1,15 @@
-"""Tests for the performance work: vectorized hot paths, the trace
-cache, the parallel matrix runner, and the geomean fix.
+"""Tests for the performance work: the ``np.unique`` replacements, the
+trace cache, the parallel matrix runner, and the geomean fix.
 
 The load-bearing property throughout is *bit-identity*: every
-acceleration switch (``repro.perfflags``, ``TraceCache``, ``workers=K``)
-must change wall-clock time only, never a single simulated number.
+acceleration (``TraceCache``, ``workers=K``) must change wall-clock time
+only, never a single simulated number.
 """
 
 import numpy as np
 import pytest
 
-from repro import perfflags
+from repro import nputil
 from repro.bench.runner import MatrixResult, run_matrix, run_solution
 from repro.bench.scaling import BenchProfile
 from repro.errors import ConfigError
@@ -31,21 +31,22 @@ def tiny_profile():
     )
 
 
-class TestVectorizedBitIdentity:
-    @pytest.mark.parametrize("solution", ["mtm", "tiered-autonuma", "thermostat"])
-    @pytest.mark.parametrize("workload", ["gups", "bfs"])
-    def test_vectorized_equals_legacy(self, tiny_profile, workload, solution):
-        with perfflags.legacy_mode():
-            legacy = fingerprint(run_solution(solution, workload, tiny_profile))
-        assert perfflags.vectorized()
-        fast = fingerprint(run_solution(solution, workload, tiny_profile))
-        assert legacy == fast
+class TestNpUtil:
+    """The sort-based ``np.unique`` spellings are output-identical."""
 
-    def test_legacy_mode_restores_flag(self):
-        assert perfflags.vectorized()
-        with perfflags.legacy_mode():
-            assert not perfflags.vectorized()
-        assert perfflags.vectorized()
+    def test_unique_and_inverse_match_numpy(self):
+        rng = np.random.default_rng(11)
+        cases = [np.empty(0, dtype=np.int64), np.array([5], dtype=np.int64),
+                 np.arange(50, dtype=np.int64)]
+        cases += [rng.integers(-3, int(rng.integers(1, 500)),
+                               int(rng.integers(1, 2000)))
+                  for _ in range(30)]
+        for a in cases:
+            np.testing.assert_array_equal(nputil.unique(a), np.unique(a))
+            values, inverse = nputil.unique_inverse(a)
+            want_values, want_inverse = np.unique(a, return_inverse=True)
+            np.testing.assert_array_equal(values, want_values)
+            np.testing.assert_array_equal(inverse, want_inverse.ravel())
 
 
 class TestTraceCache:
