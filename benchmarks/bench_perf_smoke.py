@@ -22,7 +22,10 @@ Two measurements, both regression-gated by CI via ``BENCH_perf.json``:
   every interval into an NDJSON file sink), asserting identical results
   and recording the relative wall-clock overhead each plane adds
   (budget: <5% for tracing vs off, and <5% for what the streaming sink
-  layer adds on top of the enabled obs arm).
+  layer adds on top of the enabled obs arm).  Each overhead is the
+  median of the paired per-round ratios (arms within a round run
+  back-to-back in rotating order) with a bootstrap 95% CI of their
+  mean (``overhead_ci``); CI gates test the CI's upper bound.
 
 Every arm produces bit-identical simulation results (asserted here on
 summary statistics, and in full by ``tests/test_golden.py``,
@@ -34,11 +37,13 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 from repro import kernels
 from repro.bench.runner import SweepVariant, run_matrix, run_sweep
+from repro.bench.stats import bootstrap_ci
 from repro.mm.chunked import DEFAULT_CHUNK_PAGES
 from repro.mm.pagetable import AUTO_CHUNK_PAGES
 from repro.bench.scaling import BenchProfile
@@ -57,7 +62,7 @@ SWEEP_WORKLOAD = "gups"
 SWEEP_INTERVALS = 48
 SWEEP_WARMUP = 42
 
-#: Rounds per observability-overhead arm (rotating order, min kept).
+#: Rounds per observability-overhead arm (rotating order, paired).
 #: Five rounds because the budget being measured (<5%) is smaller than
 #: single-shot wall-clock drift on shared machines.
 OBS_ROUNDS = 5
@@ -76,6 +81,25 @@ def tau_variants() -> list[SweepVariant]:
         SweepVariant(label=f"tau_m={t:g}", params={"tau_m": t, "tau_s": 2.0 * t})
         for t in TAU_POINTS
     ]
+
+
+def _paired_overhead(rounds: list[dict], arm: str, base: str) -> dict:
+    """Median of the per-round ``arm/base`` ratios, minus one, with the
+    bootstrap 95% CI of their mean.
+
+    The ratios are paired (both arms of a round run back-to-back), which
+    cancels slow machine-load drift; the median, unlike the minimum of
+    ratios, is not biased toward the luckiest round.
+    """
+    ratios = [r[arm] / r[base] for r in rounds]
+    lo, hi = bootstrap_ci(ratios)
+    return {"overhead": round(statistics.median(ratios) - 1.0, 4),
+            "overhead_ci": [round(lo - 1.0, 4), round(hi - 1.0, 4)]}
+
+
+def _pct(overhead: dict) -> str:
+    lo, hi = overhead["overhead_ci"]
+    return f"{overhead['overhead']:+.1%} [95% CI {lo:+.1%}, {hi:+.1%}]"
 
 
 def _matrix_summary(matrix) -> dict:
@@ -158,14 +182,12 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
     # -- observability-overhead arm --------------------------------------
     # Explicit obs=None keeps this arm clean even when the bench CLI's
     # --obs flag installed a process-wide collector.  All three arms run
-    # ``OBS_ROUNDS`` times in rotating order; overheads are computed as
-    # the minimum of *per-round ratios* (arms within a round run
-    # back-to-back), which cancels the slow machine-load drift that
-    # would distort independent per-arm minima on shared CI runners.
+    # ``OBS_ROUNDS`` times in rotating order (see _paired_overhead).
     import tempfile
 
     from repro.obs.context import ObsConfig, ObsContext
     from repro.obs.sinks import NdjsonFileSink
+    from repro.obs.stream import fold_records
 
     obs_off = obs_on = obs_stream = None
     collector = ObsContext(label="perf-smoke")
@@ -213,17 +235,16 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
             "observability changed simulated results; tracing and "
             "streaming must be bit-identity-neutral"
         )
-    obs_off_seconds = min(t["off"] for t in round_times)
-    obs_on_seconds = min(t["on"] for t in round_times)
-    obs_stream_seconds = min(t["stream"] for t in round_times)
-    obs_overhead = min(t["on"] / t["off"] for t in round_times) - 1.0
+    obs_off_seconds = statistics.median(t["off"] for t in round_times)
+    obs_on_seconds = statistics.median(t["on"] for t in round_times)
+    obs_stream_seconds = statistics.median(t["stream"] for t in round_times)
+    obs_overhead = _paired_overhead(round_times, "on", "off")
     # Streaming implies the tracing plane, so its budgeted overhead is
     # what the sink layer *adds* on top of the enabled obs arm; the
     # all-in number vs obs-off is recorded alongside for transparency.
-    stream_overhead = min(t["stream"] / t["on"] for t in round_times) - 1.0
-    stream_overhead_vs_off = (
-        min(t["stream"] / t["off"] for t in round_times) - 1.0
-    )
+    stream_overhead = _paired_overhead(round_times, "stream", "on")
+    stream_vs_off = _paired_overhead(round_times, "stream", "off")
+    collected = fold_records(collector.records())
 
     _assert_batch_released(profile)
 
@@ -264,18 +285,19 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
             "snapshots": snap_stats,
         },
         "obs": {
+            "rounds": OBS_ROUNDS,
             "baseline_seconds": round(obs_off_seconds, 3),
             "obs_seconds": round(obs_on_seconds, 3),
-            "overhead": round(obs_overhead, 4),
-            "events": sum(collector.event_counts().values()),
-            "spans": len(collector.tracer.spans)
-            + sum(len(t.spans) for t in collector.tracks),
-            "provenance_records": len(collector.provenance),
+            **obs_overhead,
+            "events": len(collected.events),
+            "spans": len(collected.spans),
+            "provenance_records": len(collected.provenance),
         },
         "obs_stream": {
             "stream_seconds": round(obs_stream_seconds, 3),
-            "overhead": round(stream_overhead, 4),
-            "overhead_vs_off": round(stream_overhead_vs_off, 4),
+            **stream_overhead,
+            "overhead_vs_off": stream_vs_off["overhead"],
+            "overhead_vs_off_ci": stream_vs_off["overhead_ci"],
             "records": stream_lines,
             "dropped": stream_dropped,
         },
@@ -302,13 +324,13 @@ def run_experiment(profile: BenchProfile, workloads: list[str] | None = None) ->
         f"    cold-start: {sweep_cold_seconds:6.2f}s\n"
         f"    snapshot-fork: {sweep_fork_seconds:6.2f}s\n"
         f"    speedup: {sweep_speedup:.2f}x\n"
-        f"  obs overhead (serial matrix, off vs on): "
-        f"{obs_off_seconds:6.2f}s -> {obs_on_seconds:6.2f}s "
-        f"({obs_overhead:+.1%}, budget <5%)\n"
+        f"  obs overhead (serial matrix, off vs on, median round): "
+        f"{obs_off_seconds:6.2f}s -> {obs_on_seconds:6.2f}s; paired "
+        f"median {_pct(obs_overhead)} (budget <5%)\n"
         f"  obs streaming (NDJSON sink, {stream_lines} records, "
-        f"{stream_dropped} dropped): {obs_stream_seconds:6.2f}s "
-        f"({stream_overhead:+.1%} over obs, {stream_overhead_vs_off:+.1%} "
-        f"vs off; budget <5% added)\n"
+        f"{stream_dropped} dropped): {obs_stream_seconds:6.2f}s; paired "
+        f"median {_pct(stream_overhead)} over obs, "
+        f"{_pct(stream_vs_off)} vs off (budget <5% added)\n"
         f"  wrote {OUTPUT.name}"
     )
 

@@ -22,9 +22,10 @@ which gives all of them a uniform flag set:
 * ``--obs [--obs-out DIR]`` — install a process-wide observability
   collector (see :mod:`repro.obs`); every runner call records events,
   spans, metrics, and migration provenance into it, and the collector is
-  exported (Chrome ``trace.json``, ``events.jsonl``, ``metrics.json``,
-  ``provenance.jsonl``) after the experiment finishes.  Observability
-  never changes results — runs are bit-identical with it on or off.
+  written as ``stream.ndjson`` plus its Chrome ``trace.json`` view after
+  the experiment finishes (``--obs-stream`` writes the same stream while
+  cells run).  Observability never changes results — runs are
+  bit-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def bench_main(
     )
     parser.add_argument(
         "--obs-stream", action="store_true",
-        help="stream telemetry to OBS_OUT/stream.ndjson while cells run "
+        help="write OBS_OUT/stream.ndjson while cells run "
              "(pool workers relay through the parent); implies --obs",
     )
     parser.add_argument(
@@ -105,9 +106,10 @@ def bench_main(
         )
         if args.obs_stream:
             from repro.obs.sinks import NdjsonFileSink
+            from repro.obs.stream import STREAM_NAME
 
             collector.add_sink(
-                NdjsonFileSink(os.path.join(args.obs_out, "stream.ndjson"))
+                NdjsonFileSink(os.path.join(args.obs_out, STREAM_NAME))
             )
         if args.obs_socket:
             from repro.obs.sinks import SocketSink
@@ -151,8 +153,8 @@ def bench_main(
     if collector is not None:
         paths = collector.export(args.obs_out)
         collector.stream_close()
-        print(f"observability export written to {paths['trace']} "
-              f"(open in ui.perfetto.dev) and {args.obs_out}/")
+        print(f"observability stream written to {paths['stream']}, "
+              f"trace view {paths['trace']} (open in ui.perfetto.dev)")
     _append_history(run_experiment, profile, args, seconds)
 
 
@@ -184,8 +186,8 @@ def _append_history(run_experiment, profile, args, seconds: float) -> None:
         metrics: dict[str, float] = {}
         perf_path = root / "BENCH_perf.json"
         if perf_path.exists():
-            with open(perf_path, encoding="utf-8") as fh:
-                metrics = flatten_metrics(json.load(fh))
+            metrics = flatten_metrics(
+                json.loads(perf_path.read_text(encoding="utf-8")))
         record = append_record(
             path,
             driver=driver,

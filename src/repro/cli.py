@@ -29,10 +29,11 @@ Commands:
   with ``--connect``, or tail its ``--obs-stream`` NDJSON).
 
 ``run`` and ``compare`` accept ``--obs [--obs-out DIR]`` to record
-structured events, phase spans, metrics, and migration provenance, and
-export them as a Perfetto-loadable ``trace.json`` plus JSONL sinks;
-``--obs-stream``/``--obs-socket`` additionally publish the telemetry
-incrementally while the run is live.  Observability never changes
+structured events, phase spans, metrics, and migration provenance into
+one ``stream.ndjson`` (``--obs-compress``: ``stream.ndjson.gz``) plus a
+Perfetto-loadable ``trace.json`` view of it; ``--obs-stream`` writes
+that stream incrementally while the run is live, ``--obs-socket`` also
+publishes it to a socket.  Observability never changes
 simulated results.
 
 Example::
@@ -99,7 +100,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--obs-stream", action="store_true",
-        help="stream telemetry incrementally to OBS_OUT/stream.ndjson "
+        help="write OBS_OUT/stream.ndjson incrementally "
              "while the run is live (tail it with `repro watch --run` or "
              "`repro trace --run DIR --follow`); implies --obs",
     )
@@ -111,8 +112,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--obs-compress", action="store_true",
-        help="gzip the exported JSONL artifacts (*.jsonl.gz); every "
-             "reader (trace/report/query) handles both forms",
+        help="gzip the telemetry stream (stream.ndjson.gz); every "
+             "reader (trace/report/query/watch) handles both forms",
     )
 
 
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = watch.add_mutually_exclusive_group(required=True)
     src.add_argument(
         "--run", metavar="DIR",
-        help="tail DIR/stream.ndjson (an --obs-stream run's --obs-out)",
+        help="tail DIR/stream.ndjson[.gz] (an --obs-stream run's --obs-out)",
     )
     src.add_argument(
         "--connect", metavar="ADDR",
@@ -625,7 +626,8 @@ def _make_obs(args: argparse.Namespace):
 
     ``--obs-stream``/``--obs-socket`` imply ``--obs`` and attach the
     matching sinks; the NDJSON file sink creates ``--obs-out`` lazily at
-    its first flush, so a run that fails early leaves no directory.
+    its first flush, so a run that fails early leaves no directory.  It
+    writes the very file the export would, so the export only closes it.
     """
     stream = getattr(args, "obs_stream", False)
     socket_addr = getattr(args, "obs_socket", None)
@@ -640,8 +642,11 @@ def _make_obs(args: argparse.Namespace):
 
         from repro.obs.sinks import NdjsonFileSink
 
-        ctx.add_sink(NdjsonFileSink(os.path.join(args.obs_out,
-                                                 "stream.ndjson")))
+        from repro.obs.stream import STREAM_NAME
+
+        name = STREAM_NAME + (".gz" if getattr(args, "obs_compress", False)
+                              else "")
+        ctx.add_sink(NdjsonFileSink(os.path.join(args.obs_out, name)))
     if socket_addr:
         from repro.obs.sinks import SocketSink
 
@@ -667,8 +672,8 @@ def _export_obs(ctx, args: argparse.Namespace) -> None:
     paths = ctx.export(args.obs_out,
                        compress=getattr(args, "obs_compress", False))
     ctx.stream_close()
-    print(f"observability export written to {paths['trace']} "
-          f"(open in ui.perfetto.dev); query with "
+    print(f"observability stream written to {paths['stream']}, "
+          f"trace view {paths['trace']} (open in ui.perfetto.dev); query with "
           f"`python -m repro trace --run {args.obs_out}`")
 
 

@@ -8,9 +8,14 @@ Four cooperating pieces (see DESIGN.md "Observability architecture"):
   shared counter-arithmetic primitives ``PerfStats``/``CacheStats`` use;
 * :mod:`repro.obs.provenance` — per-region migration lifecycle records.
 
-Plus the streaming plane (DESIGN.md "Streaming observability"):
+Plus the stream, the one on-disk telemetry artifact (DESIGN.md
+"Streaming observability"):
 
-* :mod:`repro.obs.stream` — NDJSON record schema + incremental publisher;
+* :mod:`repro.obs.stream` — NDJSON record schema, the incremental
+  publisher, and the fold every reader (report, trace, query, Perfetto
+  view) goes through;
+* :mod:`repro.obs.export` — writes a buffered context as that stream
+  plus the derived ``trace.json``;
 * :mod:`repro.obs.sinks` — append-only file, socket, and mp-queue sinks;
 * :mod:`repro.obs.watch` — live aggregator and the ``repro watch``
   dashboard.

@@ -1,15 +1,14 @@
-"""Offline analytics over observability artifacts.
+"""Offline analytics over a run's telemetry stream.
 
 Three layers on top of :mod:`repro.obs.store`:
 
 * **Ingest** — :func:`ingest_run` folds a run/sweep/service directory
-  (``events.jsonl``, ``metrics.json``, ``provenance.jsonl``,
-  ``trace.json``, ``stream.ndjson``, ``journal.ndjson``; plain or
-  ``.gz``) into the deterministic columnar bundle ``analytics.npz``.
-  Final export artifacts are preferred over the live stream — the relay
-  drain order of a pooled run is not deterministic, the export is.
-  Rows are canonicalized (events stably sorted by track, provenance by
-  its full key) so the bundle bytes do not depend on absorb order.
+  (``stream.ndjson`` plain or ``.gz``, service ``journal.ndjson``) into
+  the deterministic columnar bundle ``analytics.npz``.  The stream is
+  read by the one fold of :mod:`repro.obs.stream`, which merges tracks
+  in name order; rows are canonicalized (events and spans by track,
+  provenance by its full key) so the bundle bytes do not depend on
+  absorb or relay order.
 * **Analyses** — :func:`dwell_time`, :func:`top_pages`,
   :func:`lifecycle_funnel`, :func:`ping_pong`, and a generic
   :func:`query_table` verb with filter/group/top-N.  Each returns a
@@ -32,7 +31,6 @@ share" here is *hotness-mass share*.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -43,7 +41,6 @@ from repro.obs.provenance import (
     STAGE_COMMITTED,
     STAGE_PLANNED,
     ProvenanceLog,
-    ProvenanceRecord,
 )
 from repro.obs.store import (
     EVENT_FIELD_COLUMNS,
@@ -62,17 +59,6 @@ _PROV_SORT_KEY = ("interval", "page_start", "npages", "src_node",
                   "detail")
 
 
-# -- artifact resolution -------------------------------------------------------
-
-
-def find_artifact(run_dir: Path, name: str) -> Path | None:
-    """Resolve ``name`` in ``run_dir``, accepting a gzipped variant."""
-    for candidate in (run_dir / name, run_dir / f"{name}.gz"):
-        if candidate.exists():
-            return candidate
-    return None
-
-
 # -- ingest --------------------------------------------------------------------
 
 
@@ -88,53 +74,36 @@ def _ingest_provenance(builder: TableBuilder, records) -> int:
     return len(ordered)
 
 
-def _event_row(builder: TableBuilder, record: dict) -> None:
-    fields = {f: record.get(f) for f in EVENT_FIELD_COLUMNS
-              if isinstance(record.get(f), (int, float))}
-    builder.add(interval=int(record.get("interval", -1)),
-                ts=float(record.get("ts", 0.0)),
-                sim_time=float(record.get("sim_time", 0.0)),
-                name=record.get("name", ""),
-                track=record.get("track", ""), **fields)
-
-
-def _ingest_events(builder: TableBuilder, rows: list[dict]) -> None:
-    # Stable sort by track: absorb order (serial = cell order, pooled =
-    # completion order) must not leak into the bundle; within a track
-    # the simulation's own emission order is preserved.
-    rows.sort(key=lambda r: str(r.get("track", "")))
-    for record in rows:
-        _event_row(builder, record)
+def _ingest_events(builder: TableBuilder, events) -> None:
+    for track, event in events:
+        fields = {f: event.fields[f] for f in EVENT_FIELD_COLUMNS
+                  if isinstance(event.fields.get(f), (int, float))}
+        builder.add(interval=event.interval, ts=event.ts,
+                    sim_time=event.sim_time, name=event.name, track=track,
+                    **fields)
 
 
 def _ingest_metrics(builder: TableBuilder, data: dict) -> None:
     rows: list[tuple] = []
-    for name, value in data.get("counters", {}).items():
+    for name, value in data["counters"].items():
         rows.append(("counter", name, float(value), None, None, None, None))
-    for name, value in data.get("gauges", {}).items():
+    for name, value in data["gauges"].items():
         rows.append(("gauge", name, float(value), None, None, None, None))
-    for name, stat in data.get("histograms", {}).items():
-        rows.append(("histogram", name, float(stat.get("mean", 0.0)),
-                     float(stat.get("count", 0)), float(stat.get("total", 0.0)),
-                     float(stat.get("min", 0.0)), float(stat.get("max", 0.0))))
+    for name, stat in data["histograms"].items():
+        rows.append(("histogram", name, float(stat["mean"]),
+                     float(stat["count"]), float(stat["total"]),
+                     float(stat["min"]), float(stat["max"])))
     for kind, name, value, count, total, mn, mx in sorted(
             rows, key=lambda r: (r[0], r[1])):
         builder.add(name=name, kind=kind, value=value, count=count,
                     total=total, min=mn, max=mx)
 
 
-def _ingest_spans(builder: TableBuilder, trace: dict) -> None:
-    tracks: dict[tuple[int, int], str] = {}
-    for ev in trace.get("traceEvents", []):
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            tracks[(ev.get("pid", 0), ev.get("tid", 0))] = (
-                ev.get("args", {}).get("name", ""))
-    for ev in trace.get("traceEvents", []):
-        if ev.get("ph") != "X":
-            continue
-        track = tracks.get((ev.get("pid", 0), ev.get("tid", 0)), "")
-        builder.add(name=ev.get("name", ""), track=track,
-                    ts=float(ev.get("ts", 0.0)), dur=float(ev.get("dur", 0.0)))
+def _ingest_spans(builder: TableBuilder, spans) -> None:
+    # Microseconds, the Chrome/Perfetto unit of trace.json.
+    for track, span in spans:
+        builder.add(name=span.name, track=track, ts=span.ts * 1e6,
+                    dur=span.dur * 1e6)
 
 
 def _ingest_journal(builder: TableBuilder, state_dir: Path) -> None:
@@ -150,149 +119,58 @@ def _ingest_journal(builder: TableBuilder, state_dir: Path) -> None:
                     attempt=int(record.get("attempt", -1)))
 
 
-def _metric_key(record: dict) -> str:
-    labels = sorted((str(k), str(v)) for k, v in (record.get("labels") or []))
-    name = record.get("name", "")
-    if not labels:
-        return name
-    return name + "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-
-
-def _ingest_stream(path: Path, events: TableBuilder,
-                   prov_records: list) -> dict:
-    """Reconstruct events/provenance/metrics from a live NDJSON stream.
-
-    Fallback for directories that only have ``stream.ndjson`` (a run
-    SIGKILLed before export).  Counters stream as deltas and are summed;
-    gauges keep the last value; histograms keep the last cumulative
-    summary — matching what the export would have written.
-    """
-    from repro.obs.stream import iter_ndjson
-
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
-    rows: list[dict] = []
-    for record in iter_ndjson(path):
-        rtype = record.get("type") if isinstance(record, dict) else None
-        if rtype == "event":
-            rows.append(record)
-        elif rtype == "provenance":
-            prov_records.append(ProvenanceRecord(
-                interval=int(record.get("interval", -1)),
-                stage=str(record.get("stage", "")),
-                page_start=int(record.get("page_start", 0)),
-                npages=int(record.get("npages", 0)),
-                src_node=int(record.get("src_node", -1)),
-                dst_node=int(record.get("dst_node", -1)),
-                reason=str(record.get("reason", "") or ""),
-                score=float(record.get("score", 0.0)),
-                attempt=int(record.get("attempt", 0)),
-                detail=str(record.get("detail", "") or ""),
-            ))
-        elif rtype == "metric":
-            key = _metric_key(record)
-            kind = record.get("kind")
-            if kind == "counter":
-                counters[key] = counters.get(key, 0.0) + float(
-                    record.get("delta", 0.0))
-            elif kind == "gauge":
-                gauges[key] = float(record.get("value", 0.0))
-            elif kind == "histogram":
-                count = float(record.get("count", 0))
-                total = float(record.get("total", 0.0))
-                histograms[key] = {
-                    "count": count, "total": total,
-                    "min": float(record.get("min", 0.0)),
-                    "max": float(record.get("max", 0.0)),
-                    "mean": total / count if count else 0.0,
-                }
-    _ingest_events(events, rows)
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
 def ingest_run(run_dir, store_path=None) -> Path:
     """Fold one artifact directory into ``analytics.npz``; returns its path.
 
-    Accepts a run/sweep export (``--obs-out``), a service state
-    directory (journal + optional stream), or a bare ``--obs-stream``
-    directory that never exported.  Deterministic: ingesting the same
-    directory twice writes byte-identical bundles.
+    Accepts a run/sweep ``--obs-out`` directory (its ``stream.ndjson``,
+    plain or ``.gz`` — finished, or cut short with no ``end`` record)
+    or a service state directory (journal plus optional stream).  The
+    stream is read through :func:`~repro.obs.stream.read_stream`, whose
+    track-ordered fold makes the bundle independent of how a pooled run
+    interleaved its cells: ingesting the same content twice writes
+    byte-identical bundles.
     """
+    from repro.obs.stream import read_stream, stream_file
+    from repro.service.journal import JOURNAL_NAME
+
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"{run_dir} is not a directory")
     store_path = Path(store_path) if store_path else run_dir / STORE_NAME
 
-    metrics_path = find_artifact(run_dir, "metrics.json")
-    events_path = find_artifact(run_dir, "events.jsonl")
-    prov_path = find_artifact(run_dir, "provenance.jsonl")
-    trace_path = find_artifact(run_dir, "trace.json")
-    stream_path = find_artifact(run_dir, "stream.ndjson")
-    journal_path = find_artifact(run_dir, "journal.ndjson")
-    if not any((metrics_path, events_path, prov_path, stream_path,
-                journal_path)):
+    has_stream = stream_file(run_dir).exists()
+    has_journal = (run_dir / JOURNAL_NAME).exists()
+    if not (has_stream or has_journal):
         raise ConfigError(
             f"{run_dir} holds no observability artifacts — was the run "
             f"made with --obs (or the service with --obs-stream)?"
         )
 
-    from repro.obs.stream import open_text
-
     tables: dict[str, dict] = {}
-    meta: dict = {"source": "export" if metrics_path else
-                  ("service" if journal_path else "stream")}
+    meta: dict = {"source": "service" if has_journal else "stream"}
     events = TableBuilder("events")
     prov = TableBuilder("provenance")
-    prov_records: list = []
-
-    if metrics_path:
-        with open(metrics_path, encoding="utf-8") as fh:
-            data = json.load(fh)
+    if has_stream:
+        fold = read_stream(run_dir)
+        meta["label"] = fold.label
         metrics = TableBuilder("metrics")
-        _ingest_metrics(metrics, data)
+        _ingest_metrics(metrics, fold.registry.as_dict())
         tables["metrics"] = metrics.freeze()
-        if data.get("label") is not None:
-            meta["label"] = data["label"]
-        if events_path:
-            rows = []
-            with open_text(events_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        rows.append(json.loads(line))
-            _ingest_events(events, rows)
-        if prov_path:
-            prov_records = ProvenanceLog.read_jsonl(prov_path).records
-    elif stream_path:
-        # No export: rebuild what it would have said from the stream.
-        data = _ingest_stream(stream_path, events, prov_records)
-        metrics = TableBuilder("metrics")
-        _ingest_metrics(metrics, data)
-        tables["metrics"] = metrics.freeze()
-
-    _ingest_provenance(prov, prov_records)
+        _ingest_events(events, fold.events)
+        _ingest_provenance(prov, fold.provenance.records)
+        spans = TableBuilder("spans")
+        _ingest_spans(spans, fold.spans)
+        tables["spans"] = spans.freeze()
     tables["events"] = events.freeze()
     tables["provenance"] = prov.freeze()
-
-    if trace_path:
-        with open(trace_path, encoding="utf-8") as fh:
-            trace = json.load(fh)
-        spans = TableBuilder("spans")
-        _ingest_spans(spans, trace)
-        tables["spans"] = spans.freeze()
-    if journal_path:
+    if has_journal:
         journal = TableBuilder("journal")
         _ingest_journal(journal, run_dir)
         tables["journal"] = journal.freeze()
 
     last = -1
-    if len(events):
-        col = tables["events"]["columns"]["interval"]
-        if len(col):
-            last = max(last, int(col.max()))
-    if len(prov):
-        col = tables["provenance"]["columns"]["interval"]
+    for name in ("events", "provenance"):
+        col = tables[name]["columns"]["interval"]
         if len(col):
             last = max(last, int(col.max()))
     meta["intervals"] = last + 1
@@ -951,7 +829,6 @@ __all__ = [
     "dwell_samples",
     "dwell_time",
     "ensure_store",
-    "find_artifact",
     "ingest_run",
     "lifecycle_funnel",
     "ping_pong",

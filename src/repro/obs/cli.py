@@ -1,4 +1,4 @@
-"""Query CLIs over an exported observability directory.
+"""Query CLIs over a run's telemetry stream.
 
 ``python -m repro trace --run DIR --page N`` prints the migration
 provenance history of the region(s) covering a page — every lifecycle
@@ -6,9 +6,10 @@ transition with interval, tiers, policy reason, score, attempt — plus
 the plan→commit queue latency.  ``python -m repro report --obs --run
 DIR`` prints the merged metrics table and event counts of a run.
 
-Both commands work purely from the files ``--obs-out`` wrote
-(``provenance.jsonl``, ``metrics.json``, ``events.jsonl``); no live
-simulation state is needed.
+Both commands read only the ``stream.ndjson`` (or ``.gz``) that
+``--obs``/``--obs-stream`` left in ``--obs-out`` — finished, or cut
+short before its ``end`` record — through the one fold of
+:mod:`repro.obs.stream`; no live simulation state is needed.
 """
 
 from __future__ import annotations
@@ -18,25 +19,15 @@ from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.metrics.report import Table
-from repro.obs.provenance import STAGE_COMMITTED, ProvenanceLog
-
-
-def _load_provenance(run_dir: Path) -> ProvenanceLog:
-    from repro.obs.analytics import find_artifact
-
-    path = find_artifact(run_dir, "provenance.jsonl")
-    if path is None:
-        raise ConfigError(
-            f"no provenance log under {run_dir} — was the run made "
-            f"with --obs?"
-        )
-    return ProvenanceLog.read_jsonl(path)
+from repro.obs.provenance import STAGE_COMMITTED
 
 
 def trace_report(run_dir, page: int | None = None, limit: int = 50) -> str:
     """Human-readable provenance answer for one run directory."""
+    from repro.obs.stream import read_stream
+
     run_dir = Path(run_dir)
-    log = _load_provenance(run_dir)
+    log = read_stream(run_dir).provenance
     lines: list[str] = []
     if page is None:
         table = Table(f"Migration provenance summary ({run_dir})",
@@ -85,18 +76,16 @@ def trace_follow(run_dir, page: int | None = None, timeout: float | None = None,
                  out=print) -> int:
     """Tail the provenance stream of a still-running ``--obs-stream`` run.
 
-    Reads the NDJSON stream sink (``stream.ndjson``) rather than the
-    final export, so it works while the simulation is live and tolerates
-    a truncated final line.  Stops at the stream's ``end`` record, after
-    ``timeout`` seconds without new data, or after ``limit`` printed
-    records.  Returns the number of provenance records printed.
+    Follows ``stream.ndjson`` (or ``.gz``) as it grows, so it works
+    while the simulation is live and tolerates a truncated final line.
+    Stops at the stream's ``end`` record, after ``timeout`` seconds
+    without new data, or after ``limit`` printed records.  Returns the
+    number of provenance records printed.
     """
     from repro.obs.stream import iter_ndjson
 
-    run_dir = Path(run_dir)
-    path = run_dir / "stream.ndjson" if run_dir.is_dir() else run_dir
     printed = 0
-    for record in iter_ndjson(path, follow=True, poll_interval=poll,
+    for record in iter_ndjson(run_dir, follow=True, poll_interval=poll,
                               timeout=timeout):
         if not isinstance(record, dict) or record.get("type") != "provenance":
             continue
@@ -192,13 +181,13 @@ def service_report(state_dir) -> str:
     ``--obs-stream``) through the fleet aggregate and appends the
     journal's alert history — the post-hoc twin of ``repro fleet``.
     """
-    from repro.obs.stream import iter_ndjson
+    from repro.obs.stream import iter_ndjson, stream_file
     from repro.obs.watch import FleetAggregate, render_fleet_text
     from repro.service.journal import JOURNAL_NAME, Journal
 
     state_dir = Path(state_dir)
     lines: list[str] = []
-    stream = state_dir / "stream.ndjson"
+    stream = stream_file(state_dir)
     if stream.exists():
         agg = FleetAggregate()
         for record in iter_ndjson(stream):
@@ -247,18 +236,18 @@ def _pingpong_summary(run_dir: Path) -> dict | None:
 def obs_report(run_dir, as_json: bool = False):
     """Metrics + event-count report for one run directory.
 
-    Service state directories (a journal but no ``metrics.json``) route
-    to :func:`service_report` so ``repro report --run STATE_DIR`` folds
-    the fleet counters and alert history instead of erroring.  With
-    ``as_json`` the same content returns as a machine-readable dict
-    (scriptable ``repro report --json``); when the directory holds an
-    analytics store, the ping-pong summary is folded into both forms.
+    Service state directories (those with a journal) route to
+    :func:`service_report` so ``repro report --run STATE_DIR`` folds
+    the fleet counters and alert history instead.  With ``as_json``
+    the same content returns as a machine-readable dict (scriptable
+    ``repro report --json``); when the directory holds an analytics
+    store, the ping-pong summary is folded into both forms.
     """
+    from repro.obs.stream import read_stream
     from repro.service.journal import JOURNAL_NAME
 
     run_dir = Path(run_dir)
-    path = run_dir / "metrics.json"
-    if not path.exists() and (run_dir / JOURNAL_NAME).exists():
+    if (run_dir / JOURNAL_NAME).exists():
         if as_json:
             from repro.service.journal import Journal
 
@@ -267,41 +256,22 @@ def obs_report(run_dir, as_json: bool = False):
                     "records": journal.lines(),
                     "alerts": journal.alerts()}
         return service_report(run_dir)
-    if not path.exists():
-        raise ConfigError(
-            f"no metrics at {path} — was the run made with --obs?"
-        )
-    with open(path) as fh:
-        data = json.load(fh)
+    fold = read_stream(run_dir)
     pingpong = _pingpong_summary(run_dir)
     if as_json:
-        out = {"kind": "run", "run": str(run_dir), **data}
+        out = {"kind": "run", "run": str(run_dir), **fold.report()}
         if pingpong is not None:
             out["pingpong"] = pingpong
         return out
     lines: list[str] = []
 
-    counts = data.get("event_counts", {})
-    table = Table(f"Events ({data.get('label') or run_dir})",
-                  ["event", "count"])
-    for name, count in sorted(counts.items()):
+    table = Table(f"Events ({fold.label or run_dir})", ["event", "count"])
+    for name, count in sorted(fold.event_counts().items()):
         table.add_row(name, count)
     lines.append(table.render())
-    if data.get("dropped_events"):
-        lines.append(f"dropped events: {data['dropped_events']}")
-
-    table = Table("Metrics", ["metric", "kind", "value"])
-    for name, value in sorted(data.get("counters", {}).items()):
-        table.add_row(name, "counter", f"{value:g}")
-    for name, value in sorted(data.get("gauges", {}).items()):
-        table.add_row(name, "gauge", f"{value:g}")
-    for name, stat in sorted(data.get("histograms", {}).items()):
-        table.add_row(
-            name, "histogram",
-            f"n={stat['count']} mean={stat['mean']:.3g} "
-            f"min={stat['min']:.3g} max={stat['max']:.3g}",
-        )
-    lines.append(table.render())
+    if fold.dropped_events:
+        lines.append(f"dropped events: {fold.dropped_events}")
+    lines.append(fold.registry.table().render())
     if pingpong is not None:
         params = pingpong["params"]
         lines.append(

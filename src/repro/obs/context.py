@@ -16,9 +16,12 @@ bench runner):
 * :meth:`ObsContext.snapshot` freezes a context into a picklable
   :class:`ObsData` that travels back on the ``SimulationResult``;
 * a parent **collector** context absorbs each ObsData exactly once
-  (:meth:`ObsContext.absorb`): metrics and provenance merge, while
-  events/spans are kept as per-run *tracks* so the Perfetto export can
-  show one timeline lane per engine run.
+  (:meth:`ObsContext.absorb`) as its own *track*.  The collector's
+  registry, bus, tracer and provenance log hold only what the collector
+  itself recorded; the merged view of everything is
+  :meth:`ObsContext.records` folded by
+  :func:`~repro.obs.stream.fold_records` — the same records and merge
+  rules the on-disk stream is read back with.
 
 A process-wide default collector (:func:`set_default_context`) lets
 ``--obs`` on any bench driver enable collection without threading a
@@ -201,27 +204,33 @@ class ObsContext:
 
     # -- snapshot / absorb ----------------------------------------------------
 
-    def snapshot(self, label: str | None = None) -> ObsData:
-        """Picklable copy of everything this context collected.
+    def loss_counters(self) -> dict:
+        """This context's own telemetry loss, as counter series.
 
-        Streaming loss counters are injected into the snapshot's
-        *copy* of the counter dict (never the live registry, so repeated
-        snapshots don't double-count): ``obs.dropped_events`` is
-        buffer+stream drops, ``obs.relay_backpressure`` is lines this
-        context's own relay/sinks failed to deliver.
+        ``obs.dropped_events`` is bus-buffer plus stream drops,
+        ``obs.relay_backpressure`` lines its own relay/sinks failed to
+        deliver.  Both are always present: a zero means "measured, no
+        loss", which an absent key cannot say.
+        """
+        dropped = self.bus.dropped
+        backpressure = 0
+        if self._publisher is not None:
+            dropped += self._publisher.dropped
+            backpressure = self._publisher.owned_sink_dropped()
+        return {("obs.dropped_events", ()): dropped,
+                ("obs.relay_backpressure", ()): backpressure}
+
+    def snapshot(self, label: str | None = None) -> ObsData:
+        """Picklable copy of everything this context recorded itself.
+
+        The loss counters are added to the snapshot's *copy* of the
+        counter dict (never the live registry, so repeated snapshots
+        don't double-count).
         """
         counters, gauges, histograms = self.registry.data()
         if self.config.metrics:
-            dropped = self.bus.dropped
-            if self._publisher is not None:
-                dropped += self._publisher.dropped
-                backpressure = self._publisher.owned_sink_dropped()
-                if backpressure:
-                    key = ("obs.relay_backpressure", ())
-                    counters[key] = counters.get(key, 0) + backpressure
-            if dropped:
-                key = ("obs.dropped_events", ())
-                counters[key] = counters.get(key, 0) + dropped
+            for key, value in self.loss_counters().items():
+                counters[key] = counters.get(key, 0) + value
         return ObsData(
             label=label if label is not None else self.label,
             events=list(self.bus.events),
@@ -234,16 +243,15 @@ class ObsContext:
         )
 
     def absorb(self, data: ObsData | None) -> None:
-        """Merge one child run's snapshot (call exactly once per child)."""
-        if data is None:
-            return
-        self.registry.merge_data(data.counters, data.gauges, data.histograms)
-        self.provenance.extend(data.provenance)
-        self.tracks.append(data)
-        if self._publisher is not None:
-            # The child's telemetry already streamed through its own
-            # publisher (shared sinks or relay); skip it in our deltas.
-            self._publisher.rebase()
+        """Keep one child run's snapshot as a track (once per child).
+
+        The child's telemetry already streamed through its own publisher
+        (shared sinks or relay) when streaming is on; keeping it apart
+        from this context's own registry is what stops a streaming
+        collector from encoding it a second time.
+        """
+        if data is not None:
+            self.tracks.append(data)
 
     # -- aggregate views ------------------------------------------------------
 
@@ -269,10 +277,27 @@ class ObsContext:
 
     # -- export ---------------------------------------------------------------
 
-    def export(self, out_dir, compress: bool = False) -> dict:
-        """Write every sink under ``out_dir``; returns written paths.
+    def records(self) -> list[dict]:
+        """Everything buffered, as stream records: this context's own
+        track first, then each absorbed track (one ``meta`` each)."""
+        from repro.obs.stream import meta_record, track_name, track_records
 
-        ``compress`` gzips the JSONL artifacts (``*.jsonl.gz``).
+        out: list[dict] = []
+        for data in (self.snapshot(), *self.tracks):
+            track = track_name(data.label)
+            out.append(meta_record(track))
+            out += track_records(
+                track, data.events, data.spans, data.provenance,
+                data.counters.items(), data.gauges.items(),
+                data.histograms.items(),
+            )
+        return out
+
+    def export(self, out_dir, compress: bool = False) -> dict:
+        """Write ``stream.ndjson`` (``.gz`` with ``compress``) and the
+        derived ``trace.json`` under ``out_dir``; returns their paths.
+
+        A context already streaming into that file only closes it.
         """
         from repro.obs.export import export_context
 

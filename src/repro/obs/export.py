@@ -1,13 +1,11 @@
-"""Export sinks for a collected :class:`~repro.obs.context.ObsContext`.
+"""Writing a collected :class:`~repro.obs.context.ObsContext` to disk.
 
-Writes four artifacts under ``--obs-out``:
-
-* ``trace.json`` — Chrome trace-event format; open in ``ui.perfetto.dev``
-  or ``chrome://tracing``.  The collector's own spans are the ``main``
-  track; every absorbed child run gets its own named track.
-* ``events.jsonl`` — one JSON line per structured event (track-tagged).
-* ``metrics.json`` — the merged metrics registry.
-* ``provenance.jsonl`` — the merged migration provenance log.
+An ``--obs-out`` directory holds one telemetry artifact,
+``stream.ndjson`` (``stream.ndjson.gz`` when compressed), in the record
+schema of :mod:`repro.obs.stream`, plus ``trace.json``: a Chrome
+trace-event view derived from the stream's records, for
+``ui.perfetto.dev`` or ``chrome://tracing``.  The top-level track is
+tid 0; every other track (one per absorbed child run) gets its own tid.
 
 Also hosts :func:`validate_chrome_trace`, a dependency-free structural
 validator for the Chrome trace-event schema, used by tests and by the
@@ -17,12 +15,18 @@ CI observability job.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.obs.spans import events_to_trace_events, spans_to_trace_events
+from repro.obs.stream import (
+    STREAM_NAME,
+    encode_record,
+    open_text,
+    read_stream,
+    track_name,
+)
 
-#: Trace-event phases this exporter produces (subset of the full spec).
-_EMITTED_PHASES = {"X", "i", "M"}
 #: Phases the validator accepts (the common Chrome trace-event vocabulary).
 _VALID_PHASES = {"X", "B", "E", "i", "I", "M", "C", "b", "e", "n", "s", "t",
                  "f", "P", "O", "N", "D"}
@@ -33,22 +37,20 @@ def _thread_name_event(pid: int, tid: int, name: str) -> dict:
             "args": {"name": name}}
 
 
-def build_chrome_trace(ctx) -> dict:
-    """Chrome trace dict: collector spans on tid 0, one tid per track."""
+def build_chrome_trace(fold) -> dict:
+    """Chrome trace dict of a :class:`~repro.obs.stream.StreamFold`:
+    the top-level track on tid 0, the others by name on tids 1..n."""
     pid = 1
+    names = sorted(fold.tracks, key=lambda name: (name != fold.label, name))
     trace_events = [
         {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-         "args": {"name": f"repro.obs:{ctx.label or 'run'}"}},
-        _thread_name_event(pid, 0, ctx.label or "main"),
+         "args": {"name": f"repro.obs:{fold.label or 'run'}"}},
     ]
-    trace_events.extend(spans_to_trace_events(ctx.tracer.spans, pid, 0))
-    trace_events.extend(events_to_trace_events(ctx.bus.events, pid, 0))
-    for index, track in enumerate(ctx.tracks, start=1):
-        trace_events.append(
-            _thread_name_event(pid, index, track.label or f"track-{index}")
-        )
-        trace_events.extend(spans_to_trace_events(track.spans, pid, index))
-        trace_events.extend(events_to_trace_events(track.events, pid, index))
+    for tid, name in enumerate(names):
+        track = fold.tracks[name]
+        trace_events.append(_thread_name_event(pid, tid, name))
+        trace_events.extend(spans_to_trace_events(track.spans, pid, tid))
+        trace_events.extend(events_to_trace_events(track.events, pid, tid))
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
@@ -87,80 +89,33 @@ def validate_chrome_trace(trace) -> list[str]:
     return problems
 
 
-def write_events_jsonl(ctx, path) -> int:
-    """Track-tagged event lines; returns the number written.
-
-    Gzip-compressed when ``path`` ends in ``.gz`` (the analytics ingest
-    and ``iter_ndjson`` read either form transparently).
-    """
-    from repro.obs.stream import open_text
-
-    written = 0
-    with open_text(path, "w") as fh:
-        for event in ctx.bus.events:
-            fh.write(json.dumps(
-                {"track": ctx.label or "main", **event.as_dict()}) + "\n")
-            written += 1
-        for track in ctx.tracks:
-            for event in track.events:
-                fh.write(json.dumps(
-                    {"track": track.label, **event.as_dict()}) + "\n")
-                written += 1
-    return written
-
-
 def export_context(ctx, out_dir, compress: bool = False) -> dict:
-    """Write trace.json / events.jsonl / metrics.json / provenance.jsonl.
+    """Write ``ctx``'s stream and its ``trace.json`` view under ``out_dir``.
 
-    With ``compress`` the two JSONL artifacts (the bulky ones) are
-    written gzipped as ``*.jsonl.gz``; every reader in the repo resolves
-    either suffix.
+    A context already streaming into the target file only closes it
+    (which writes the ``end`` record); otherwise every buffered record
+    is written fresh, followed by ``end``.  ``trace.json`` is then built
+    from the file, so it shows exactly what the stream holds.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    suffix = ".gz" if compress else ""
-    paths = {
-        "trace": out / "trace.json",
-        "events": out / f"events.jsonl{suffix}",
-        "metrics": out / "metrics.json",
-        "provenance": out / f"provenance.jsonl{suffix}",
-    }
-    trace = build_chrome_trace(ctx)
-    with open(paths["trace"], "w") as fh:
-        json.dump(trace, fh)
-    write_events_jsonl(ctx, paths["events"])
-    rendered = ctx.registry.as_dict()
-    # Child runs injected their stream-loss counters at snapshot time and
-    # absorb() merged them; the collector's *own* bus/publisher/sink drops
-    # are added here, into the rendered copy only (repeated exports must
-    # not compound them in the live registry).  Both counters are always
-    # materialized — a zero in metrics.json means "measured, no loss",
-    # which an absent key cannot say.
-    own_dropped = ctx.bus.dropped
-    backpressure = 0
-    publisher = getattr(ctx, "_publisher", None)
-    if publisher is not None:
-        own_dropped += publisher.dropped
-        backpressure = publisher.owned_sink_dropped()
-    counters = rendered["counters"]
-    counters["obs.dropped_events"] = (
-        counters.get("obs.dropped_events", 0) + own_dropped
-    )
-    counters["obs.relay_backpressure"] = (
-        counters.get("obs.relay_backpressure", 0) + backpressure
-    )
-    with open(paths["metrics"], "w") as fh:
-        json.dump({
-            "label": ctx.label,
-            "dropped_events": ctx.dropped_events(),
-            "event_counts": ctx.event_counts(),
-            **rendered,
-        }, fh, indent=2, sort_keys=True)
-    ctx.provenance.write_jsonl(paths["provenance"])
-    return {key: str(path) for key, path in paths.items()}
+    path = out / (STREAM_NAME + (".gz" if compress else ""))
+    target = os.path.abspath(path)
+    if any(os.path.abspath(getattr(sink, "path", "")) == target
+           for sink in ctx.stream_sinks):
+        ctx.stream_close()
+    else:
+        out.mkdir(parents=True, exist_ok=True)
+        with open_text(path, "w") as fh:
+            fh.writelines(encode_record(r) for r in ctx.records())
+            fh.write(encode_record({"type": "end",
+                                    "track": track_name(ctx.label)}))
+    # A stale stream of the other compression would shadow this one.
+    (out / (STREAM_NAME if compress else STREAM_NAME + ".gz")).unlink(
+        missing_ok=True)
+    trace_path = out / "trace.json"
+    with open(trace_path, "w", encoding="utf-8") as fh:
+        json.dump(build_chrome_trace(read_stream(path)), fh)
+    return {"stream": str(path), "trace": str(trace_path)}
 
 
-__all__ = [
-    "build_chrome_trace", "export_context", "validate_chrome_trace",
-    "write_events_jsonl",
-]
+__all__ = ["build_chrome_trace", "export_context", "validate_chrome_trace"]

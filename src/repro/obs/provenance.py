@@ -7,9 +7,10 @@ migration order it touches — planned, committed, transient failures
 switches, demote-for-room evictions — each carrying the region span,
 tiers, policy reason, hotness score, and attempt number.
 
-The log is queryable by page (:meth:`ProvenanceLog.for_page`) and
-round-trips through JSONL so ``python -m repro trace`` can interrogate a
-finished run from its ``--obs-out`` directory.
+The log is queryable by page (:meth:`ProvenanceLog.for_page`); records
+travel as ``provenance`` records of the telemetry stream
+(:mod:`repro.obs.stream`), so ``python -m repro trace`` can interrogate
+a finished run from its ``--obs-out`` directory.
 """
 
 from __future__ import annotations
@@ -124,34 +125,6 @@ class ProvenanceLog:
         committed); see :meth:`queue_latencies` for all occurrences."""
         latencies = self.queue_latencies(page)
         return latencies[0] if latencies else None
-
-    # -- JSONL round trip ----------------------------------------------------
-
-    def write_jsonl(self, path) -> None:
-        """Write the log as JSONL (gzipped when ``path`` ends ``.gz``)."""
-        import json
-
-        from repro.obs.stream import open_text
-
-        with open_text(path, "w") as fh:
-            for r in self.records:
-                fh.write(json.dumps(r.as_dict()) + "\n")
-
-    @classmethod
-    def read_jsonl(cls, path) -> "ProvenanceLog":
-        """Load a log written by :meth:`write_jsonl` (plain or ``.gz``)."""
-        import json
-
-        from repro.obs.stream import open_text
-
-        log = cls()
-        with open_text(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                log.records.append(ProvenanceRecord(**json.loads(line)))
-        return log
 
 
 __all__ = [

@@ -266,25 +266,6 @@ class MetricsRegistry:
             )
         return table
 
-    def write_jsonl(self, path) -> None:
-        """One JSON line per series (streaming-friendly sink)."""
-        import json
-
-        with open(path, "w") as fh:
-            for (name, lk), value in sorted(self.counters.items()):
-                fh.write(json.dumps(
-                    {"metric": render_key(name, lk), "kind": "counter", "value": value}
-                ) + "\n")
-            for (name, lk), value in sorted(self.gauges.items()):
-                fh.write(json.dumps(
-                    {"metric": render_key(name, lk), "kind": "gauge", "value": value}
-                ) + "\n")
-            for (name, lk), stat in sorted(self.histograms.items()):
-                fh.write(json.dumps(
-                    {"metric": render_key(name, lk), "kind": "histogram",
-                     **stat.as_dict()}
-                ) + "\n")
-
 
 # -- shared counter-container arithmetic --------------------------------------
 #

@@ -10,7 +10,8 @@ neutral.
 
 Export is the Chrome trace-event format (``ph: "X"`` complete events,
 microsecond timestamps) understood by ``ui.perfetto.dev`` and
-``chrome://tracing``; see :mod:`repro.obs.export` for the file writer.
+``chrome://tracing``; :mod:`repro.obs.export` derives ``trace.json``
+from a run's stream records.
 
 Cross-process stitching
 -----------------------

@@ -1,13 +1,15 @@
-"""Incremental telemetry stream: NDJSON record schema + publisher.
+"""The telemetry stream: the one on-disk obs format, its writer and its fold.
 
-The obs plane of PR 4 buffers everything and exports once at the end.
-This module makes the same telemetry *streamable while the run is live*:
-a :class:`StreamPublisher` rides on an :class:`~repro.obs.context.ObsContext`
-and, on every ``stream_flush()`` (the engine calls it at interval
-boundaries), encodes what is *new since the last flush* — events, span
-completions, metric deltas, provenance records — as one NDJSON record
-per line and hands the batch to the attached sinks
-(:mod:`repro.obs.sinks`).
+Every observability artifact a run leaves is one NDJSON file of the
+records below: ``stream.ndjson`` (``stream.ndjson.gz`` with
+``--obs-compress``) under ``--obs-out``.  It is written either live — a
+:class:`StreamPublisher` rides on an
+:class:`~repro.obs.context.ObsContext` and, on every ``stream_flush()``
+(the engine calls it at interval boundaries), encodes what is *new
+since the last flush* and hands the batch to the attached sinks
+(:mod:`repro.obs.sinks`) — or in one go at the end of a buffered run
+(:meth:`ObsContext.export <repro.obs.context.ObsContext.export>`).  Both
+encode through :func:`track_records`.
 
 Record schema (``v`` = :data:`STREAM_SCHEMA_VERSION`), one JSON object
 per line, discriminated by ``type``:
@@ -24,31 +26,59 @@ per line, discriminated by ``type``:
 ``provenance`` ``{type, track, interval, stage, page_start, npages,
                src_node, dst_node, reason, score, attempt, detail}``
 ``end``        ``{type, track}`` — written exactly once, by the
-               *top-level* publisher's close; per-cell publishers in a
-               matrix close without it, so tail readers stop at the real
-               end of the stream.
+               *top-level* context's close or export; per-cell publishers
+               in a matrix close without it, so tail readers stop at the
+               real end of the stream.
 =============  =============================================================
 
 Counters stream as deltas so a reader can sum them without knowing flush
 boundaries; gauges stream as the current value; histograms stream their
-cumulative summary (idempotent for a late-joining reader).
+cumulative summary (idempotent for a late-joining reader).  A track's
+close always carries the ``obs.dropped_events`` and
+``obs.relay_backpressure`` counters, zero included.
 
-:func:`iter_ndjson` is the matching reader: it tolerates a truncated
-final line (a crash mid-``writelines`` loses at most that line — the
-partial tail is buffered until the newline arrives, or forever if it
-never does), skips unparseable complete lines, and in ``follow`` mode
-tails a still-growing file until an ``end`` record, a quiet-period
-timeout, or — since the writer may have been SIGKILLed before writing
-its ``end`` record — until every pid announced in a ``meta`` record has
-exited and a grace period passes (the *dead-writer escape*).
+:func:`fold_records` is the one reader: it groups records by track and
+merges tracks with the registry's rules (counters sum; gauges take each
+track's last value, then the maximum; histograms take each track's last
+summary, then :meth:`HistogramStat.merge
+<repro.obs.registry.HistogramStat.merge>`), visiting tracks in name
+order so the result does not depend on how a pooled run interleaved
+them.  ``repro query``/``report``/``trace`` and the Perfetto
+``trace.json`` all read through it.
+
+:func:`iter_ndjson` decodes the file: it tolerates a truncated final
+line (a crash mid-``writelines`` loses at most that line — the partial
+tail is buffered until the newline arrives, or forever if it never
+does), skips unparseable complete lines, and in ``follow`` mode tails a
+still-growing file until an ``end`` record, a quiet-period timeout, or —
+since the writer may have been SIGKILLed before writing its ``end``
+record — until every pid announced in a ``meta`` record has exited and
+a grace period passes (the *dead-writer escape*).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
+from repro.errors import ConfigError
+from repro.obs.context import ObsData
 from repro.obs.events import ALL_EVENTS, Event
+from repro.obs.provenance import ProvenanceLog, ProvenanceRecord
+from repro.obs.registry import (
+    HistogramStat,
+    MetricsRegistry,
+    label_key,
+)
+from repro.obs.spans import Span
+
+#: File name of the stream inside an ``--obs-out`` or state directory
+#: (``.gz`` appended when compressed).
+STREAM_NAME = "stream.ndjson"
+
+#: Track name of a context without a label.
+DEFAULT_TRACK = "main"
 
 #: Bump when a record shape changes; readers check ``meta.v``.
 STREAM_SCHEMA_VERSION = 1
@@ -96,6 +126,7 @@ def resolve_dead_writer_grace(value=_GRACE_UNSET) -> float | None:
     except ValueError:
         return DEFAULT_DEAD_WRITER_GRACE
 
+
 _PROVENANCE_FIELDS = (
     "interval", "stage", "page_start", "npages", "src_node", "dst_node",
     "reason", "score", "attempt", "detail",
@@ -105,10 +136,9 @@ _PROVENANCE_FIELDS = (
 def open_text(path, mode: str = "r"):
     """Open a text file, transparently gzipped when the name ends ``.gz``.
 
-    The single chokepoint for JSONL artifact IO: readers and writers
-    (``iter_ndjson``, :class:`~repro.obs.provenance.ProvenanceLog`, the
-    analytics ingest) route through it, so large artifact directories
-    can compress at rest without any caller knowing the difference.
+    The one chokepoint for stream IO (:func:`iter_ndjson` and the
+    buffered export), so a stream can compress at rest without any
+    caller knowing the difference.
     """
     if str(path).endswith(".gz"):
         import gzip
@@ -127,6 +157,66 @@ _ENCODE = json.JSONEncoder(
 def encode_record(record: dict) -> str:
     """One compact NDJSON line (including the trailing newline)."""
     return _ENCODE(record) + "\n"
+
+
+def stream_file(run) -> Path:
+    """The stream file of a run directory, or ``run`` itself if a file.
+
+    Accepts ``stream.ndjson`` or ``stream.ndjson.gz``; when neither
+    exists yet the plain name is returned (a live tail re-resolves on
+    every open attempt, so it still finds a gzipped stream that appears
+    later).
+    """
+    run = Path(run)
+    if not run.is_dir():
+        return run
+    for name in (STREAM_NAME, STREAM_NAME + ".gz"):
+        if (run / name).exists():
+            return run / name
+    return run / STREAM_NAME
+
+
+def track_name(label: str) -> str:
+    """Track of a context: its label, or :data:`DEFAULT_TRACK`."""
+    return label or DEFAULT_TRACK
+
+
+def meta_record(track: str) -> dict:
+    return {"type": "meta", "v": STREAM_SCHEMA_VERSION, "track": track,
+            "pid": os.getpid()}
+
+
+def track_records(track: str, events=(), spans=(), provenance=(),
+                  counters=(), gauges=(), histograms=()) -> list[dict]:
+    """One track's telemetry as stream records — the one encoder.
+
+    ``counters``/``gauges``/``histograms`` are ``(key, value)`` pairs
+    keyed like :class:`~repro.obs.registry.MetricsRegistry` series; a
+    counter's value is written as its ``delta``.  The live publisher
+    passes what changed since its last flush, a buffered export passes
+    everything.
+    """
+    out = [{"type": "event", "track": track, **event.as_dict()}
+           for event in events]
+    out += [{"type": "span", "track": track, "name": span.name,
+             "cat": span.cat, "ts": span.ts, "dur": span.dur,
+             "depth": span.depth, "args": span.args} for span in spans]
+    out += [{"type": "provenance", "track": track,
+             **{f: getattr(rec, f) for f in _PROVENANCE_FIELDS}}
+            for rec in provenance]
+    out += [{"type": "metric", "track": track, "kind": "counter",
+             "name": name, "labels": [list(p) for p in labels],
+             "delta": delta} for (name, labels), delta in counters]
+    out += [{"type": "metric", "track": track, "kind": "gauge",
+             "name": name, "labels": [list(p) for p in labels],
+             "value": value} for (name, labels), value in gauges]
+    out += [{"type": "metric", "track": track, "kind": "histogram",
+             "name": name, "labels": [list(p) for p in labels],
+             "count": stat.count, "total": stat.total,
+             "min": stat.minimum if stat.count else 0.0,
+             "max": stat.maximum if stat.count else 0.0}
+            for (name, labels), stat in histograms]
+    return out
 
 
 def validate_stream_record(record) -> list[str]:
@@ -204,9 +294,12 @@ class StreamPublisher:
 
     Keeps cursors into the context's span/provenance lists and baseline
     snapshots of its metric series; each :meth:`flush` encodes only what
-    changed since the previous flush.  Events are captured via a bus
-    subscription into a bounded pending list, so the stream sees events
-    even after the bus buffer itself fills up.
+    changed since the previous flush, through :func:`track_records`.
+    Events are captured via a bus subscription into a bounded pending
+    list, so the stream sees events even after the bus buffer itself
+    fills up.  The context's registry holds only its own metrics
+    (absorbed child runs stay on their own tracks), so nothing the
+    children already streamed is encoded twice.
     """
 
     def __init__(self, ctx, max_pending: int = DEFAULT_MAX_PENDING) -> None:
@@ -237,21 +330,6 @@ class StreamPublisher:
         """Lines dropped by sinks this publisher owns (relay backpressure)."""
         return sum(s.dropped for s, owned in self.sinks if owned)
 
-    def rebase(self) -> None:
-        """Advance baselines over the context's current state.
-
-        Called by a collector after ``absorb()``: the absorbed child data
-        already streamed from the child's own publisher (shared sinks or
-        relay), so the collector must not re-encode it as its own deltas.
-        """
-        registry = self.ctx.registry
-        self._counter_base = dict(registry.counters)
-        for key, stat in registry.histograms.items():
-            self._hist_count[key] = stat.count
-        for key, value in registry.gauges.items():
-            self._gauge_last[key] = value
-        self._prov_cursor = len(self.ctx.provenance.records)
-
     def _on_event(self, event: Event) -> None:
         if len(self._pending_events) >= self.max_pending:
             self.dropped += 1
@@ -260,70 +338,46 @@ class StreamPublisher:
 
     # -- encoding -------------------------------------------------------------
 
-    def _encode_new(self) -> list[str]:
-        track = self.ctx.label
-        lines: list[str] = []
+    def _encode_new(self, final: bool = False) -> list[str]:
+        """Lines for everything new; ``final`` adds the loss counters."""
+        ctx = self.ctx
+        track = track_name(ctx.label)
+        records: list[dict] = []
         if not self._meta_sent:
-            lines.append(encode_record({
-                "type": "meta", "v": STREAM_SCHEMA_VERSION,
-                "track": track, "pid": os.getpid(),
-            }))
+            records.append(meta_record(track))
             self._meta_sent = True
-        if self._pending_events:
-            for event in self._pending_events:
-                lines.append(encode_record({
-                    "type": "event", "track": track, **event.as_dict(),
-                }))
-            self._pending_events.clear()
-        spans = self.ctx.tracer.spans
-        if self._span_cursor < len(spans):
-            for span in spans[self._span_cursor:]:
-                lines.append(encode_record({
-                    "type": "span", "track": track, "name": span.name,
-                    "cat": span.cat, "ts": span.ts, "dur": span.dur,
-                    "depth": span.depth, "args": span.args,
-                }))
-            self._span_cursor = len(spans)
-        records = self.ctx.provenance.records
-        if self._prov_cursor < len(records):
-            for rec in records[self._prov_cursor:]:
-                lines.append(encode_record({
-                    "type": "provenance", "track": track,
-                    **{f: getattr(rec, f) for f in _PROVENANCE_FIELDS},
-                }))
-            self._prov_cursor = len(records)
-        registry = self.ctx.registry
+        registry = ctx.registry
+        counters = []
+        base = self._counter_base
         for key, value in registry.counters.items():
-            delta = value - self._counter_base.get(key, 0)
-            if delta:
-                name, labels = key
-                lines.append(encode_record({
-                    "type": "metric", "track": track, "kind": "counter",
-                    "name": name, "labels": [list(p) for p in labels],
-                    "delta": delta,
-                }))
-                self._counter_base[key] = value
+            prev = base.get(key)
+            # A new series streams even at zero: an absent key cannot
+            # say "measured, nothing happened".
+            if prev is None or value != prev:
+                counters.append((key, value - (prev or 0)))
+                base[key] = value
+        if final:
+            counters.extend(ctx.loss_counters().items())
+        gauges = []
         for key, value in registry.gauges.items():
             if self._gauge_last.get(key) != value:
-                name, labels = key
-                lines.append(encode_record({
-                    "type": "metric", "track": track, "kind": "gauge",
-                    "name": name, "labels": [list(p) for p in labels],
-                    "value": value,
-                }))
+                gauges.append((key, value))
                 self._gauge_last[key] = value
+        histograms = []
         for key, stat in registry.histograms.items():
             if self._hist_count.get(key) != stat.count:
-                name, labels = key
-                lines.append(encode_record({
-                    "type": "metric", "track": track, "kind": "histogram",
-                    "name": name, "labels": [list(p) for p in labels],
-                    "count": stat.count, "total": stat.total,
-                    "min": stat.minimum if stat.count else 0.0,
-                    "max": stat.maximum if stat.count else 0.0,
-                }))
+                histograms.append((key, stat))
                 self._hist_count[key] = stat.count
-        return lines
+        spans = ctx.tracer.spans
+        provenance = ctx.provenance.records
+        records += track_records(
+            track, self._pending_events, spans[self._span_cursor:],
+            provenance[self._prov_cursor:], counters, gauges, histograms,
+        )
+        self._pending_events = []
+        self._span_cursor = len(spans)
+        self._prov_cursor = len(provenance)
+        return [encode_record(r) for r in records]
 
     # -- flushing -------------------------------------------------------------
 
@@ -352,20 +406,16 @@ class StreamPublisher:
             sink.flush()
 
     def close(self, end_record: bool = True) -> None:
-        """Final flush, optional ``end`` marker, close owned sinks."""
+        """Final flush with the loss counters, optional ``end`` marker,
+        close owned sinks."""
         if self._closed:
             return
-        lines = self._encode_new()
+        lines = self._encode_new(final=True)
         if end_record:
-            lines.append(encode_record({
-                "type": "end", "track": self.ctx.label,
-            }))
-        if lines:
-            self.write_raw(lines)
-        for sink, owned in self.sinks:
-            if owned:
-                sink.close()
-        self._closed = True
+            lines.append(encode_record(
+                {"type": "end", "track": track_name(self.ctx.label)}))
+        self.write_raw(lines)
+        self._close_sinks()
 
     def abort(self) -> None:
         """Failure-path close: no ``end`` record, and no first write.
@@ -378,13 +428,145 @@ class StreamPublisher:
         if self._closed:
             return
         if self._meta_sent:
-            lines = self._encode_new()
-            if lines:
-                self.write_raw(lines)
+            self.write_raw(self._encode_new(final=True))
+        self._close_sinks()
+
+    def _close_sinks(self) -> None:
         for sink, owned in self.sinks:
             if owned:
                 sink.close()
         self._closed = True
+
+
+class StreamFold:
+    """A stream read back: one :class:`~repro.obs.context.ObsData` per
+    track (lists in emission order, counter deltas summed, last gauge,
+    last histogram summary) plus the merged views.
+
+    ``label`` is the top-level track (the one that wrote ``end``; the
+    first track seen when the stream never ended).  ``registry``,
+    ``provenance``, ``events`` and ``spans`` merge the tracks in name
+    order; ``events`` and ``spans`` are ``(track, item)`` pairs, each
+    track in its own emission order.
+    """
+
+    def __init__(self, tracks: dict, label: str | None) -> None:
+        self.tracks: dict[str, ObsData] = tracks
+        self.label = label
+        self.registry = MetricsRegistry()
+        self.provenance = ProvenanceLog()
+        self.events: list[tuple[str, Event]] = []
+        self.spans: list[tuple[str, Span]] = []
+        for name in sorted(tracks):
+            data = tracks[name]
+            self.registry.merge_data(data.counters, data.gauges,
+                                     data.histograms)
+            self.provenance.extend(data.provenance)
+            self.events.extend((name, event) for event in data.events)
+            self.spans.extend((name, span) for span in data.spans)
+
+    def event_counts(self) -> dict[str, int]:
+        """Event counts by name across every track."""
+        out: dict[str, int] = {}
+        for _, event in self.events:
+            out[event.name] = out.get(event.name, 0) + 1
+        return out
+
+    @property
+    def dropped_events(self) -> int:
+        """Events lost to bounded buffers or the stream, every track."""
+        return int(self.registry.counter_total("obs.dropped_events"))
+
+    def report(self) -> dict:
+        """Merged metrics in the ``repro report --json`` shape."""
+        return {"label": self.label, "dropped_events": self.dropped_events,
+                "event_counts": self.event_counts(),
+                **self.registry.as_dict()}
+
+
+def _histogram(record: dict) -> HistogramStat:
+    count = int(record.get("count", 0))
+    if not count:
+        return HistogramStat()
+    return HistogramStat(count, record.get("total", 0.0),
+                         record.get("min", 0.0), record.get("max", 0.0))
+
+
+def _provenance(record: dict) -> ProvenanceRecord:
+    return ProvenanceRecord(
+        interval=int(record.get("interval", -1)),
+        stage=str(record.get("stage", "")),
+        page_start=int(record.get("page_start", 0)),
+        npages=int(record.get("npages", 0)),
+        src_node=int(record.get("src_node", -1)),
+        dst_node=int(record.get("dst_node", -1)),
+        reason=str(record.get("reason", "") or ""),
+        score=float(record.get("score", 0.0)),
+        attempt=int(record.get("attempt", 0)),
+        detail=str(record.get("detail", "") or ""),
+    )
+
+
+#: Event record keys that are not payload fields.
+_EVENT_KEYS = ("type", "track", "name", "ts", "sim_time", "interval")
+
+
+def fold_records(records) -> StreamFold:
+    """Group decoded records by track and merge them (see module doc)."""
+    tracks: dict[str, ObsData] = {}
+    label = None
+    for record in records:
+        if not isinstance(record, dict) or not isinstance(
+                record.get("track"), str):
+            continue
+        track = record["track"]
+        data = tracks.get(track)
+        if data is None:
+            data = tracks[track] = ObsData(label=track)
+        rtype = record.get("type")
+        if rtype == "event":
+            data.events.append(Event(
+                str(record.get("name", "")), float(record.get("ts", 0.0)),
+                float(record.get("sim_time", 0.0)),
+                int(record.get("interval", -1)),
+                {k: v for k, v in record.items() if k not in _EVENT_KEYS}))
+        elif rtype == "span":
+            data.spans.append(Span(
+                str(record.get("name", "")), str(record.get("cat", "")),
+                float(record.get("ts", 0.0)), float(record.get("dur", 0.0)),
+                int(record.get("depth", 0)), dict(record.get("args") or {})))
+        elif rtype == "provenance":
+            data.provenance.append(_provenance(record))
+        elif rtype == "metric":
+            key = (str(record.get("name", "")),
+                   label_key(dict(record.get("labels") or ())))
+            kind = record.get("kind")
+            if kind == "counter":
+                data.counters[key] = (data.counters.get(key, 0)
+                                      + record.get("delta", 0))
+            elif kind == "gauge":
+                data.gauges[key] = record.get("value", 0)
+            elif kind == "histogram":
+                data.histograms[key] = _histogram(record)
+        elif rtype == "end":
+            label = track
+    if label is None and tracks:
+        label = next(iter(tracks))
+    return StreamFold(tracks, label)
+
+
+def read_stream(run) -> StreamFold:
+    """Fold the stream of a run directory (or a stream file).
+
+    Raises :class:`~repro.errors.ConfigError` when there is none.
+    """
+    path = stream_file(run)
+    if not path.exists():
+        raise ConfigError(
+            f"no telemetry stream under {run} — was the run made with "
+            f"--obs or --obs-stream?"
+        )
+    return fold_records(iter_ndjson(path))
 
 
 def _pid_alive(pid: int) -> bool:
@@ -403,7 +585,7 @@ def _pid_alive(pid: int) -> bool:
 def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
                 timeout: float | None = None,
                 dead_writer_grace=_GRACE_UNSET):
-    """Yield decoded records from an NDJSON stream file.
+    """Yield decoded records from an NDJSON stream file (or run directory).
 
     Tolerant of a truncated final line: only complete (newline-terminated)
     lines are decoded; a partial tail is buffered until it completes.
@@ -461,7 +643,7 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
         while True:
             if fh is None:
                 try:
-                    fh = open_text(path)
+                    fh = open_text(stream_file(path))
                 except OSError:
                     if not follow or _idle_escape():
                         return
@@ -512,13 +694,22 @@ __all__ = [
     "DEAD_WRITER_GRACE_ENV",
     "DEFAULT_DEAD_WRITER_GRACE",
     "DEFAULT_MAX_PENDING",
+    "DEFAULT_TRACK",
     "METRIC_KINDS",
     "RECORD_TYPES",
+    "STREAM_NAME",
     "STREAM_SCHEMA_VERSION",
+    "StreamFold",
     "StreamPublisher",
     "encode_record",
+    "fold_records",
     "iter_ndjson",
+    "meta_record",
     "open_text",
+    "read_stream",
     "resolve_dead_writer_grace",
+    "stream_file",
+    "track_name",
+    "track_records",
     "validate_stream_record",
 ]

@@ -1,7 +1,7 @@
 """Live telemetry aggregation + the ``repro watch`` dashboard.
 
 Consumes the NDJSON stream records of :mod:`repro.obs.stream` — from a
-growing ``stream.ndjson`` file (``--run DIR``) or a listening socket fed
+growing ``stream.ndjson`` or ``stream.ndjson.gz`` (``--run DIR``) or a listening socket fed
 by :class:`~repro.obs.sinks.SocketSink` publishers (``--connect ADDR``;
 the watcher is the *server*, simulations push to it, so one dashboard
 can aggregate many runs) — and folds them into a :class:`LiveAggregate`
@@ -891,10 +891,8 @@ def run_fleet(
                 agg.sample_throughput(time.monotonic())
             return True
     else:
-        path = resolve_stream_path(run)
-
         def pump() -> None:
-            for record in iter_ndjson(path, follow=not once,
+            for record in iter_ndjson(run, follow=not once,
                                       timeout=duration):
                 with lock:
                     agg.feed(record)
@@ -905,7 +903,7 @@ def run_fleet(
             deadline = time.monotonic() + (wait or 0.0)
             while True:
                 attempt = FleetAggregate()
-                for record in iter_ndjson(path):
+                for record in iter_ndjson(run):
                     attempt.feed(record)
                 agg = attempt
                 if agg.records or time.monotonic() >= deadline:
@@ -957,15 +955,6 @@ def run_fleet(
 
 
 # -- sources ------------------------------------------------------------------
-
-
-def resolve_stream_path(run):
-    """``--run`` accepts the obs dir or the stream file itself."""
-    import os
-
-    if os.path.isdir(run):
-        return os.path.join(run, "stream.ndjson")
-    return run
 
 
 class SocketCollector:
@@ -1095,14 +1084,13 @@ def run_watch(
                 fh.write(page)
 
     if run is not None:
-        path = resolve_stream_path(run)
         if once:
             deadline = time.monotonic() + (wait or 0.0)
             while True:
                 # Fresh aggregate per attempt: the file is re-read from
                 # the start, so feeding into the old one would double.
                 attempt = LiveAggregate()
-                for record in iter_ndjson(path):
+                for record in iter_ndjson(run):
                     attempt.feed(record)
                 agg = attempt
                 if agg.records or time.monotonic() >= deadline:
@@ -1113,9 +1101,7 @@ def run_watch(
             return 0 if agg.records else 1
 
         def pump() -> None:
-            for record in iter_ndjson(
-                path, follow=True, timeout=duration
-            ):
+            for record in iter_ndjson(run, follow=True, timeout=duration):
                 with lock:
                     agg.feed(record)
                 if stop.is_set():
@@ -1172,7 +1158,6 @@ __all__ = [
     "render_fleet_text",
     "render_html",
     "render_text",
-    "resolve_stream_path",
     "run_fleet",
     "run_watch",
 ]

@@ -27,7 +27,6 @@ from repro.obs.analytics import (
     diff_runs,
     dwell_samples,
     dwell_time,
-    find_artifact,
     ingest_run,
     lifecycle_funnel,
     ping_pong,
@@ -180,13 +179,25 @@ class TestIngest:
             obs.export(out)
             with Store(ingest_run(out)) as store:
                 prints.append(sim_fingerprint(store))
+                assert store.rows("spans") > 0
+                # gauges merge as the maximum over tracks
+                names = store.decoded("metrics", "name").tolist()
+                value = store.column("metrics", "value")[
+                    names.index("profile.regions{profiler=mtm}")]
+                key = ("profile.regions", (("profiler", "mtm"),))
+                per_track = [t.gauges[key] for t in obs.tracks
+                             if key in t.gauges]
+                assert len(per_track) == 2
+                assert value == max(per_track)
         assert prints[0] == prints[1]
 
     def test_compressed_export_ingests_identically(self, run_a, tmp_path):
         gz_dir = _export_run(tmp_path / "gz", intervals=RUN_INTERVALS,
                              compress=True)
-        assert (gz_dir / "provenance.jsonl.gz").exists()
-        assert find_artifact(gz_dir, "provenance.jsonl").name.endswith(".gz")
+        assert {p.name for p in gz_dir.iterdir()} == {"stream.ndjson.gz",
+                                                      "trace.json"}
+        with gzip.open(gz_dir / "stream.ndjson.gz", "rt") as fh:
+            assert json.loads(fh.readline())["type"] == "meta"
         with Store(ingest_run(run_a)) as plain, \
                 Store(ingest_run(gz_dir)) as zipped:
             assert sim_fingerprint(plain) == sim_fingerprint(zipped)
@@ -478,17 +489,6 @@ class TestProvenanceQueries:
 
 
 class TestGzip:
-    def test_provenance_jsonl_gz_round_trip(self, tmp_path):
-        log = _log([(0, "planned", 0, 4, 2, 0),
-                    (1, "committed", 0, 4, 2, 0)])
-        path = tmp_path / "provenance.jsonl.gz"
-        log.write_jsonl(path)
-        with gzip.open(path, "rt") as fh:  # really gzip on disk
-            assert json.loads(fh.readline())["stage"] == "planned"
-        back = ProvenanceLog.read_jsonl(path)
-        assert [r.as_dict() for r in back.records] == [
-            r.as_dict() for r in log.records]
-
     def test_iter_ndjson_reads_gz(self, tmp_path):
         path = tmp_path / "stream.ndjson.gz"
         with gzip.open(path, "wt") as fh:

@@ -32,6 +32,12 @@ from repro.obs.export import (
 from repro.obs.provenance import STAGE_COMMITTED, STAGE_PLANNED, ProvenanceLog
 from repro.obs.registry import MetricsRegistry, label_key, render_key
 from repro.obs.spans import SpanTracer
+from repro.obs.stream import (
+    fold_records,
+    iter_ndjson,
+    read_stream,
+    validate_stream_record,
+)
 
 SCALE = 1 / 512
 SEED = 3
@@ -114,17 +120,6 @@ class TestRegistry:
         assert render_key("x", ()) == "x"
         assert render_key("x", label_key({"b": 2, "a": 1})) == "x{a=1,b=2}"
 
-    def test_write_jsonl_round_trips_kinds(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.inc("c", 2, who="a")
-        reg.set_gauge("g", 7)
-        reg.observe("h", 1.5)
-        path = tmp_path / "metrics.jsonl"
-        reg.write_jsonl(path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        kinds = {row["metric"]: row["kind"] for row in rows}
-        assert kinds == {"c{who=a}": "counter", "g": "gauge", "h": "histogram"}
-
 
 # -- event bus -----------------------------------------------------------------
 
@@ -203,8 +198,11 @@ class TestObsContext:
         parent = ObsContext(label="parent")
         parent.absorb(child.snapshot())
         assert parent.event_count("profile.scan") == 1
-        assert parent.registry.counter_value("c") == 2
-        assert len(parent.provenance) == 1
+        # the child stays on its own track; the merged view is the fold
+        assert parent.registry.counter_value("c") == 0
+        merged = fold_records(parent.records())
+        assert merged.registry.counter_value("c") == 2
+        assert len(merged.provenance) == 1
         assert [t.label for t in parent.tracks] == ["child"]
         # absorbing None is a no-op (skipped cells in pooled runs)
         parent.absorb(None)
@@ -315,7 +313,7 @@ class TestDisabledIsFree:
 class TestExport:
     def test_chrome_trace_is_valid(self, traced_run):
         obs, _ = traced_run
-        trace = build_chrome_trace(obs)
+        trace = build_chrome_trace(fold_records(obs.records()))
         assert validate_chrome_trace(trace) == []
         names = {e["name"] for e in trace["traceEvents"]}
         assert "interval" in names
@@ -325,7 +323,7 @@ class TestExport:
         obs, result = traced_run
         collector = ObsContext(label="collector")
         collector.absorb(result.obs)
-        trace = build_chrome_trace(collector)
+        trace = build_chrome_trace(fold_records(collector.records()))
         assert validate_chrome_trace(trace) == []
         tids = {e["tid"] for e in trace["traceEvents"] if e["ph"] != "M"}
         assert 1 in tids  # the absorbed run landed on its own track
@@ -348,14 +346,19 @@ class TestExport:
     def test_export_writes_all_sinks(self, traced_run, tmp_path):
         obs, _ = traced_run
         paths = export_context(obs, tmp_path / "out")
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {
+            "stream.ndjson", "trace.json"}
         trace = json.loads(open(paths["trace"]).read())
         assert validate_chrome_trace(trace) == []
-        events = [json.loads(line) for line in open(paths["events"])]
-        assert len(events) == obs.event_count()
-        metrics = json.loads(open(paths["metrics"]).read())
-        assert metrics["event_counts"] == obs.event_counts()
-        log = ProvenanceLog.read_jsonl(paths["provenance"])
-        assert len(log) == len(obs.provenance)
+        records = list(iter_ndjson(paths["stream"]))
+        assert all(validate_stream_record(r) == [] for r in records)
+        assert records[-1] == {"type": "end", "track": "traced"}
+        fold = read_stream(paths["stream"])
+        assert len(fold.events) == obs.event_count()
+        assert fold.event_counts() == obs.event_counts()
+        assert len(fold.provenance) == len(obs.provenance)
+        assert fold.registry.counters == {**obs.registry.counters,
+                                          **obs.loss_counters()}
 
 
 # -- provenance queries --------------------------------------------------------
@@ -373,14 +376,6 @@ class TestProvenance:
         assert log.queue_latency(4096) is None  # never committed
         assert log.queue_latency(99999) is None  # never seen
         assert log.region_starts() == [512, 4096]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        log = ProvenanceLog()
-        log.record(1, STAGE_PLANNED, 0, 8, 2, 1, reason="hot", attempt=1)
-        path = tmp_path / "prov.jsonl"
-        log.write_jsonl(path)
-        again = ProvenanceLog.read_jsonl(path)
-        assert again.records == log.records
 
 
 # -- CLI end to end ------------------------------------------------------------
@@ -401,8 +396,7 @@ class TestObsCli:
 
     def test_run_export_is_complete_and_valid(self, export_dir):
         names = {p.name for p in export_dir.iterdir()}
-        assert names == {"trace.json", "events.jsonl", "metrics.json",
-                         "provenance.jsonl"}
+        assert names == {"trace.json", "stream.ndjson"}
         trace = json.loads((export_dir / "trace.json").read_text())
         assert validate_chrome_trace(trace) == []
 
@@ -410,7 +404,7 @@ class TestObsCli:
         assert repro_main(["trace", "--run", str(export_dir)]) == 0
         summary = capsys.readouterr().out
         assert "planned" in summary
-        log = ProvenanceLog.read_jsonl(export_dir / "provenance.jsonl")
+        log = read_stream(export_dir).provenance
         committed = [r for r in log.records if r.stage == STAGE_COMMITTED]
         page = committed[0].page_start
         assert repro_main(["trace", "--run", str(export_dir),
@@ -420,7 +414,7 @@ class TestObsCli:
         assert "queue" in out
 
     def test_trace_page_without_history(self, export_dir, capsys):
-        log = ProvenanceLog.read_jsonl(export_dir / "provenance.jsonl")
+        log = read_stream(export_dir).provenance
         free_page = max(r.page_start + r.npages for r in log.records) + 10_000
         assert repro_main(["trace", "--run", str(export_dir),
                            "--page", str(free_page)]) == 0

@@ -22,6 +22,7 @@ from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.obs.context import ObsContext
+from repro.obs.stream import fold_records
 from repro.sim.engine import SimulationEngine
 from tests.support import fingerprint, matrix_fingerprint, sweep_fingerprint
 
@@ -65,6 +66,12 @@ def sim_event_counts(ctx: ObsContext) -> dict[str, int]:
             if not name.startswith("cache.")}
 
 
+def merged(ctx: ObsContext):
+    """A collector's merged registry: its own track plus every absorbed
+    one, folded by the same rules the on-disk stream is read with."""
+    return fold_records(ctx.records()).registry
+
+
 def sim_counters(ctx: ObsContext) -> dict:
     """Counters minus process-local cache/wall-clock/stream-loss data.
 
@@ -73,7 +80,7 @@ def sim_counters(ctx: ObsContext) -> dict:
     serial run cannot — so they are host-side, not simulated.
     """
     return {
-        key: value for key, value in ctx.registry.counters.items()
+        key: value for key, value in merged(ctx).counters.items()
         if not key[0].startswith(("cache.", "perf.", "obs."))
     }
 
@@ -159,7 +166,7 @@ class TestMatrixTelemetry:
         assert {t.label for t in obs.tracks} == expected
         intervals = INTERVALS * len(expected)
         assert obs.event_counts()["interval.start"] == intervals
-        assert obs.registry.counter_total("engine.intervals") == intervals
+        assert merged(obs).counter_total("engine.intervals") == intervals
 
     def test_matrix_with_obs_matches_matrix_without(self, tiny_profile):
         plain = run_matrix(WORKLOADS, SOLUTIONS, tiny_profile, obs=None)
@@ -197,7 +204,7 @@ class TestSweepTelemetry:
         assert sweep_fingerprint(sweep) == reference
         # warmup simulated once; each variant resumes after the branch
         expected = WARMUP + len(TAU_VARIANTS) * (INTERVALS - WARMUP)
-        assert obs.registry.counter_total("engine.intervals") == expected
+        assert merged(obs).counter_total("engine.intervals") == expected
         assert obs.event_counts()["interval.start"] == expected
         assert obs.event_counts()["snapshot.capture"] == 1
         assert obs.event_counts()["snapshot.fork"] == len(TAU_VARIANTS)
@@ -209,7 +216,7 @@ class TestSweepTelemetry:
         obs = ObsContext(label="cold-sweep")
         self._sweep(tiny_profile, use_snapshots=False, workers=1, obs=obs)
         expected = len(TAU_VARIANTS) * INTERVALS
-        assert obs.registry.counter_total("engine.intervals") == expected
+        assert merged(obs).counter_total("engine.intervals") == expected
         assert obs.event_counts().get("snapshot.fork", 0) == 0
         assert "gups/mtm/warmup" not in {t.label for t in obs.tracks}
 
