@@ -19,14 +19,18 @@ Both arms must assemble results bit-identical to an in-process serial
 run (observability reads, never touches, simulation state), the on-arm
 scrapes must parse as Prometheus text, the stitched trace must pass the
 Chrome-trace validator, and the slowdown must stay under
-``max_overhead`` (default 5%).  Measured numbers are appended as a
-``fleet_obs`` block to ``BENCH_perf.json``.
+``max_overhead`` (default 5%).  The arms run in ``ROUNDS`` paired rounds
+of alternating order; the overhead is the median of the per-round
+on/off ratios, and the gate tests the upper bound of their bootstrap
+95% CI.  Measured numbers are appended as a ``fleet_obs`` block to
+``BENCH_perf.json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -35,6 +39,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.bench.scaling import BenchProfile
+from repro.bench.stats import bootstrap_ci
 from repro.metrics.report import Table
 from repro.obs.export import validate_chrome_trace
 from repro.service.alerts import AlertEngine, default_rules
@@ -60,9 +65,11 @@ INTERVALS = 30
 WARMUP = 28
 WORKERS = 2
 SCRAPE_PERIOD = 0.2
-#: arms run this many times; the best time stands (1-core CI boxes are
-#: noisy, and the *capability* each arm demonstrates is its best run).
-TRIALS = 2
+#: Paired rounds; both arms run back-to-back in each, the first arm
+#: alternating, so a round's on/off ratio cancels slow machine-load
+#: drift.  The median ratio, unlike the minimum, is not biased toward the
+#: luckiest round.
+ROUNDS = 5
 
 
 def sweep_spec(profile: BenchProfile) -> JobSpec:
@@ -232,20 +239,29 @@ def run_experiment(profile: BenchProfile, max_overhead: float = 0.05) -> str:
                                    scale=profile.scale / 2,
                                    seed=profile.seed))
     serial = _serial_fingerprints(spec)
+    runs: dict[str, list[dict]] = {"off": [], "on": []}
     with tempfile.TemporaryDirectory(prefix="repro-fleet-obs-") as tmp:
-        off = on = None
-        for trial in range(TRIALS):
-            o = _run_arm(spec, Path(tmp) / f"off{trial}", obs_plane=False)
-            n = _run_arm(spec, Path(tmp) / f"on{trial}", obs_plane=True)
-            off = o if off is None or o["seconds"] < off["seconds"] else off
-            on = n if on is None or n["seconds"] < on["seconds"] else on
-            for arm, label in ((o, "off"), (n, "on")):
+        for round_idx in range(ROUNDS):
+            order = ("off", "on") if round_idx % 2 == 0 else ("on", "off")
+            for label in order:
+                arm = _run_arm(spec, Path(tmp) / f"{label}{round_idx}",
+                               obs_plane=label == "on")
                 if arm["fingerprints"] != serial:
                     raise AssertionError(
                         f"obs-{label} fleet results differ from the serial "
                         "run; the observability plane must be read-only"
                     )
-    overhead = on["seconds"] / off["seconds"] - 1.0
+                runs[label].append(arm)
+    ratios = [n["seconds"] / o["seconds"]
+              for o, n in zip(runs["off"], runs["on"])]
+    overhead = statistics.median(ratios) - 1.0
+    lo, hi = (bound - 1.0 for bound in bootstrap_ci(ratios))
+    off = {"seconds": statistics.median(r["seconds"] for r in runs["off"]),
+           "cells": runs["off"][0]["cells"]}
+    on = dict(runs["on"][-1],
+              seconds=statistics.median(r["seconds"] for r in runs["on"]))
+    for arm in (off, on):
+        arm["cells_per_sec"] = arm["cells"] / arm["seconds"]
 
     block = {
         "workers": WORKERS,
@@ -259,7 +275,9 @@ def run_experiment(profile: BenchProfile, max_overhead: float = 0.05) -> str:
                "metrics_scrapes": on["scrapes"],
                "trace_events": on.get("trace_events", 0),
                "trace_tracks": on.get("trace_tracks", 0)},
+        "rounds": ROUNDS,
         "overhead": round(overhead, 4),
+        "overhead_ci": [round(lo, 4), round(hi, 4)],
         "max_overhead": max_overhead,
         "fingerprint_identical": True,
     }
@@ -281,7 +299,8 @@ def run_experiment(profile: BenchProfile, max_overhead: float = 0.05) -> str:
     table.add_row("off", f"{off['seconds']:.2f}s",
                   f"{off['cells_per_sec']:.2f}", "-", "-", "-")
     table.add_row("on", f"{on['seconds']:.2f}s",
-                  f"{on['cells_per_sec']:.2f}", f"{overhead:+.1%}",
+                  f"{on['cells_per_sec']:.2f}",
+                  f"{overhead:+.1%} [95% CI {lo:+.1%}, {hi:+.1%}]",
                   on["scrapes"],
                   f"{on.get('trace_events', 0)} events / "
                   f"{on.get('trace_tracks', 0)} tracks")
@@ -289,10 +308,10 @@ def run_experiment(profile: BenchProfile, max_overhead: float = 0.05) -> str:
         table.render(),
         f"appended 'fleet_obs' block to {OUTPUT.name}",
     ]
-    if overhead >= max_overhead:
+    if hi >= max_overhead:
         raise AssertionError(
-            f"fleet observability overhead {overhead:.1%} breaches the "
-            f"{max_overhead:.0%} budget\n" + "\n".join(lines)
+            f"fleet observability overhead CI upper bound {hi:.1%} breaches "
+            f"the {max_overhead:.0%} budget\n" + "\n".join(lines)
         )
     return "\n".join(lines)
 

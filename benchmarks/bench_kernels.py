@@ -32,6 +32,7 @@ compiled-over-vectorized speedup.
 from __future__ import annotations
 
 import json
+import math
 import resource
 import time
 from pathlib import Path
@@ -46,6 +47,11 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: Timed repetitions per arm; the minimum is kept (steady-state cost).
 ROUNDS = 5
+
+#: The sparse Poisson draw runs over one 1M-page segment at a cold and a
+#: hot workload rate (``repro.workloads.base``'s calibration).
+POISSON_PAGES = 1_000_000
+POISSON_RATES = (0.0125, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +162,26 @@ def _legacy_score_detected(detected):
     return total, mn, mx, arg
 
 
+def _legacy_poisson_sparse(rng, n, lam):
+    """Per-page Python loop behind the sparse Poisson draw: numpy's
+    multiply-uniforms sampler, one ``rng.random()`` per draw."""
+    enlam = math.exp(-lam)
+    draw = rng.random
+    offsets: list[int] = []
+    counts: list[int] = []
+    for i in range(n):
+        x = 0
+        prod = draw()
+        while prod > enlam:
+            x += 1
+            prod *= draw()
+        if x:
+            offsets.append(i)
+            counts.append(x)
+    return (np.asarray(offsets, dtype=np.int64),
+            np.asarray(counts, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Input synthesis (sized by bench profile) and the case table.
 
@@ -206,6 +232,18 @@ def _make_cases(rng: np.random.Generator, n_entries: int, batch: int):
         return (entries, counts, writes, sockets, pages,
                 ec, ew, es, fl, cc_, cw, 1 << 5, 1 << 6)
 
+    def poisson_case(lam):
+        # Every arm draws from the same fresh generator state.
+        def seeded():
+            return np.random.default_rng(13)
+
+        return (
+            f"poisson_sparse[{lam:g}]",
+            lambda: _legacy_poisson_sparse(seeded(), POISSON_PAGES, lam),
+            lambda: _fallback.poisson_sparse(seeded(), POISSON_PAGES, lam),
+            lambda: kernels.poisson_sparse(seeded(), POISSON_PAGES, lam),
+        )
+
     return [
         ("mmu_scatter_reset",
          lambda: _legacy_scatter_reset(pages, ec, ew, es),
@@ -235,6 +273,7 @@ def _make_cases(rng: np.random.Generator, n_entries: int, batch: int):
          lambda: _legacy_score_detected(detected),
          lambda: _fallback.score_detected(detected),
          lambda: kernels.score_detected(detected)),
+        *(poisson_case(lam) for lam in POISSON_RATES),
     ]
 
 
@@ -331,7 +370,7 @@ def run_experiment(profile: BenchProfile) -> str:
         }
         speedups.append(speedup)
         lines.append(
-            f"  {name:18s} legacy {legacy_s * 1e3:8.2f}ms  "
+            f"  {name:22s} legacy {legacy_s * 1e3:8.2f}ms  "
             f"vectorized {vec_s * 1e3:8.3f}ms  "
             f"compiled {comp_s * 1e3:8.3f}ms  "
             f"({speedup:5.1f}x vs vectorized)"

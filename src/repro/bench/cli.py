@@ -108,9 +108,10 @@ def bench_main(
             from repro.obs.sinks import NdjsonFileSink
             from repro.obs.stream import STREAM_NAME
 
-            collector.add_sink(
-                NdjsonFileSink(os.path.join(args.obs_out, STREAM_NAME))
-            )
+            path = os.path.join(args.obs_out, STREAM_NAME)
+            if os.path.isfile(path):
+                os.unlink(path)  # a new run starts a new stream
+            collector.add_sink(NdjsonFileSink(path))
         if args.obs_socket:
             from repro.obs.sinks import SocketSink
 

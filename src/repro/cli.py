@@ -628,6 +628,9 @@ def _make_obs(args: argparse.Namespace):
     matching sinks; the NDJSON file sink creates ``--obs-out`` lazily at
     its first flush, so a run that fails early leaves no directory.  It
     writes the very file the export would, so the export only closes it.
+    A stream an earlier run left in ``--obs-out`` is removed first, as
+    the buffered export overwrites it: readers stop at the first ``end``
+    record, so a run appended after it would never be read.
     """
     stream = getattr(args, "obs_stream", False)
     socket_addr = getattr(args, "obs_socket", None)
@@ -646,7 +649,10 @@ def _make_obs(args: argparse.Namespace):
 
         name = STREAM_NAME + (".gz" if getattr(args, "obs_compress", False)
                               else "")
-        ctx.add_sink(NdjsonFileSink(os.path.join(args.obs_out, name)))
+        path = os.path.join(args.obs_out, name)
+        if os.path.isfile(path):
+            os.unlink(path)
+        ctx.add_sink(NdjsonFileSink(path))
     if socket_addr:
         from repro.obs.sinks import SocketSink
 

@@ -1,10 +1,11 @@
 """The simulator's hot-path kernels — the one implementation of each.
 
-Seven kernels carry the per-interval inner loops: MMU scatter-reset and
+Eight kernels carry the per-interval inner loops: MMU scatter-reset and
 ingest, the page table's node run-length encoding, span majority and
 span entry resolution, per-node access accumulation (PCM counters and
-the cost model), and MTM's per-region score.  The package resolves one
-of two rungs at first use:
+the cost model), MTM's per-region score, and workload synthesis's
+sparse per-page Poisson draw.  The package resolves one of two rungs at
+first use:
 
 ``cc``
     A C shared object built once per cache directory with the system
@@ -20,7 +21,11 @@ fails to load raises instead of falling through); set
 ``REPRO_KERNEL_CACHE`` to relocate the on-disk cache shared by pool
 workers.  Both rungs are bit-identical: kernels perform only integer
 arithmetic, data movement, and element-wise float math, so no float
-reduction is ever reordered relative to numpy.
+reduction is ever reordered relative to numpy.  The one kernel that
+draws randomness (:func:`poisson_sparse`) draws only through numpy's
+own bit generator, in numpy's per-element order and with the
+generator's lock held, and repeats numpy's float operations exactly —
+so the generator ends in the same state on both rungs.
 
 Build/bind time (C build + ctypes load) is accounted in
 :func:`compile_seconds` so the engine can report the compile-vs-run
@@ -44,6 +49,7 @@ __all__ = [
     "mmu_scatter_reset",
     "node_accumulate",
     "node_rle",
+    "poisson_sparse",
     "score_detected",
     "span_entries",
     "span_majority",
@@ -165,6 +171,7 @@ def warmup() -> float:
         3,
     )
     impl.score_detected(np.array([1, 2], dtype=np.int64))
+    impl.poisson_sparse(np.random.default_rng(0), 2, 0.5)
     elapsed = time.perf_counter() - start
     _compile_seconds += elapsed
     _warmed = True
@@ -227,3 +234,7 @@ def node_accumulate(nodes, counts, writes, n_slots):
 
 def score_detected(detected):
     return _resolve().score_detected(detected)
+
+
+def poisson_sparse(rng, n, lam):
+    return _resolve().poisson_sparse(rng, n, lam)

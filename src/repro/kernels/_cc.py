@@ -3,14 +3,17 @@
 This is the rung used wherever any C compiler is on ``PATH``
 (gcc/clang).  The source below is embedded as a string, written
 to the shared kernel cache directory, compiled once per source revision
-(``cc -O3 -march=native -shared -fPIC``, with a portable-flag retry)
-into a hash-keyed shared object, and bound
+(``cc -O3 -march=native -shared -fPIC ... -lm``, with a portable-flag
+retry) into a hash-keyed shared object, and bound
 with :mod:`ctypes` — no ``Python.h`` or build system required.
 
-Bit-identity with the numpy fallback holds because every loop is
-integer arithmetic and data movement only: no float reductions are
-performed in C (numpy's pairwise summation would differ from a naive
-accumulation loop), and weight/count sums stay in ``int64``.
+Bit-identity with the numpy fallback holds because no float reduction
+is performed in C (numpy's pairwise summation would differ from a naive
+accumulation loop) and weight/count sums stay in ``int64``.  The one
+loop that does float math, the sparse Poisson draw, repeats numpy's own
+sampler operation for operation on uniforms taken from the caller's
+numpy bit generator, so its counts and the generator's final state
+match ``Generator.poisson`` exactly.
 
 Builds are concurrency-safe: the object is compiled to a
 process-unique temporary name and ``os.replace``d into place, so
@@ -29,7 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fallback
+
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -252,6 +258,44 @@ void repro_score_detected(int64_t n, const int64_t *detected, int64_t *out) {
     out[2] = mx;
     out[3] = arg;
 }
+
+/* numpy's bit generator interface (numpy/random/bitgen.h). */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Per-page Poisson(lam) counts for 0 < lam < 10, keeping only the
+ * non-zero ones.  The loop is numpy's random_poisson_mult, consuming
+ * the caller's generator draw for draw: multiply uniforms until the
+ * product drops to exp(-lam) (numpy evaluates exp(-lam) per element;
+ * it is the same libm value once per call).  The first product is
+ * 1.0 * U == U exactly.  Returns the number of touched pages written
+ * to offsets/counts, which hold n slots each. */
+int64_t repro_poisson_sparse(bitgen_t *bitgen, int64_t n, double lam,
+                             int64_t *offsets, int64_t *counts) {
+    const double enlam = exp(-lam);
+    double (*next_double)(void *) = bitgen->next_double;
+    void *state = bitgen->state;
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t x = 0;
+        double prod = next_double(state);
+        while (prod > enlam) {
+            x++;
+            prod *= next_double(state);
+        }
+        if (x) {
+            offsets[k] = i;
+            counts[k] = x;
+            k++;
+        }
+    }
+    return k;
+}
 """
 
 #: Array arguments travel as raw addresses (``ndarray.ctypes.data``), so
@@ -273,6 +317,7 @@ _SIGNATURES = {
     "repro_span_entries": (_I, [_I, _P, _P, _P, _P, _P]),
     "repro_node_accumulate": (None, [_I, _P, _P, _P, _I, _P, _P]),
     "repro_score_detected": (None, [_I, _P, _P]),
+    "repro_poisson_sparse": (_I, [_P, _I, ctypes.c_double, _P, _P]),
 }
 
 _lib: ctypes.CDLL | None = None
@@ -297,10 +342,16 @@ def available() -> bool:
 
 
 #: Optimization flags; ``-march=native`` lets the auto-vectorizer use
-#: the host's full SIMD width (results are unaffected — every kernel is
-#: integer-only).  Compilers that reject it get the portable fallback.
+#: the host's full SIMD width (results are unaffected — the integer
+#: kernels have no rounding, and the one float loop is a chain of
+#: single multiplies and compares with nothing to contract or
+#: reassociate).  Never add ``-ffast-math``.  Compilers that reject
+#: ``-march=native`` get the portable fallback.
 _CFLAGS = ("-O3", "-march=native", "-funroll-loops")
 _CFLAGS_PORTABLE = ("-O3",)
+#: Link flags for both attempts: ``exp`` comes from the same libm numpy
+#: calls.
+_LDLIBS = ("-lm",)
 
 
 def load(cache_dir: Path) -> None:
@@ -308,7 +359,7 @@ def load(cache_dir: Path) -> None:
     global _lib
     if _lib is not None:
         return
-    key = _SOURCE + "\0" + " ".join(_CFLAGS)
+    key = _SOURCE + "\0" + " ".join(_CFLAGS + _LDLIBS)
     digest = hashlib.sha256(key.encode()).hexdigest()[:12]
     cache_dir.mkdir(parents=True, exist_ok=True)
     so_path = cache_dir / f"repro_kernels_{digest}.so"
@@ -325,7 +376,8 @@ def load(cache_dir: Path) -> None:
         try:
             for flags in (_CFLAGS, _CFLAGS_PORTABLE):
                 result = subprocess.run(
-                    [cc, *flags, "-shared", "-fPIC", str(src_path), "-o", tmp],
+                    [cc, *flags, "-shared", "-fPIC", str(src_path), "-o", tmp,
+                     *_LDLIBS],
                     capture_output=True,
                     text=True,
                 )
@@ -450,3 +502,27 @@ def score_detected(detected):
     out = np.empty(4, dtype=np.int64)
     _lib.repro_score_detected(detected.size, _p(detected), _p(out))
     return int(out[0]), int(out[1]), int(out[2]), int(out[3])
+
+
+def poisson_sparse(rng, n, lam):
+    """Non-zero per-page Poisson(lam) counts ``(offsets, counts)``.
+
+    Draws through ``rng``'s own bit generator under its lock, so the
+    stream is consumed exactly as ``rng.poisson(lam, n)`` consumes it.
+    ``lam`` outside ``(0, 10)`` — zero, numpy's PTRS range, or an
+    invalid value — takes the numpy reference.
+    """
+    if not 0.0 < lam < 10.0:
+        return _fallback.poisson_sparse(rng, n, lam)
+    n = int(n)
+    offsets = np.empty(n, dtype=np.int64)
+    counts = np.empty(n, dtype=np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        k = int(
+            _lib.repro_poisson_sparse(
+                bitgen.ctypes.bit_generator, n, float(lam), _p(offsets),
+                _p(counts),
+            )
+        )
+    return offsets[:k].copy(), counts[:k].copy()

@@ -4,7 +4,9 @@ Each function here is the *definition* of its kernel's semantics.  The
 C rung must be bit-identical to these — the differential suite in
 ``tests/test_kernels.py`` asserts it — which is possible because every
 kernel is pure integer arithmetic and data movement (or element-wise
-float math); none of them re-orders a float reduction.
+float math); none of them re-orders a float reduction.  The one kernel
+that draws randomness, :func:`poisson_sparse`, is defined by
+``Generator.poisson`` itself.
 
 This module is also the only rung on machines without a C compiler,
 and the one chunked page-table storage calls directly (its
@@ -13,6 +15,8 @@ to C).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -200,3 +204,21 @@ def score_detected(detected: np.ndarray) -> tuple[int, int, int, int]:
         int(detected.max()),
         int(np.argmax(detected)),
     )
+
+
+def poisson_sparse(
+    rng: np.random.Generator, n: int, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-page Poisson(``lam``) counts of ``n`` pages, touched pages only.
+
+    Returns ``(offsets, counts)``: the ascending page offsets whose count
+    is non-zero, and those counts (both ``int64``).  Draws exactly what
+    ``rng.poisson(lam, n)`` draws, so the generator is left in the same
+    state on every rung.  Raises ``ValueError`` for a negative or
+    non-finite ``lam``.
+    """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"poisson rate must be finite and >= 0, got {lam}")
+    counts = rng.poisson(lam, n)
+    touched = np.nonzero(counts)[0]
+    return touched.astype(np.int64), counts[touched].astype(np.int64)

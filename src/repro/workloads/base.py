@@ -4,11 +4,12 @@ A workload describes each interval's activity as a list of
 :class:`RateSegment` — contiguous page ranges with an expected per-page
 access rate, a write ratio, a dominant socket, and a hotness label.  The
 base class turns segments into an :class:`~repro.sim.trace.AccessBatch` by
-drawing per-page Poisson counts, which is both fast (vectorized over each
-segment) and statistically faithful: a page with rate 4 is touched several
-times per interval (a multi-scan profiler can grade it), a page with rate
-0.2 is usually untouched (exactly the sparsity that makes large-memory
-profiling hard).
+drawing per-page Poisson counts with :func:`repro.kernels.poisson_sparse`,
+which is both fast (it emits only the touched pages: no footprint-sized
+count array, one uniform per untouched page) and statistically faithful:
+a page with rate 4 is touched several times per interval (a multi-scan
+profiler can grade it), a page with rate 0.2 is usually untouched
+(exactly the sparsity that makes large-memory profiling hard).
 
 Calibration note: rates are per 4 KB page per interval and sit at
 paper-realistic densities (hot ~0.2, cold ~0.015): most pages are
@@ -22,11 +23,12 @@ access-bit checks saturate (see :mod:`repro.mm.mmu`).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import nputil
+from repro import kernels, nputil
 from repro.errors import WorkloadError
 from repro.hw.placement import Placer
 from repro.mm.hugepage import ThpManager
@@ -63,8 +65,8 @@ class RateSegment:
     def __post_init__(self) -> None:
         if self.npages < 1:
             raise WorkloadError(f"segment needs >= 1 page, got {self.npages}")
-        if self.rate < 0:
-            raise WorkloadError(f"negative rate: {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise WorkloadError(f"rate must be finite and >= 0, got {self.rate}")
         if not 0.0 <= self.write_ratio <= 1.0:
             raise WorkloadError(f"write_ratio must be in [0,1], got {self.write_ratio}")
 
@@ -160,14 +162,15 @@ class SegmentedWorkload(Workload):
         for segment in self._current_segments:
             if segment.rate <= 0:
                 continue
-            counts = rng.poisson(segment.rate, segment.npages)
-            touched = np.nonzero(counts)[0]
-            if touched.size == 0:
+            offsets, counts = kernels.poisson_sparse(
+                rng, segment.npages, segment.rate
+            )
+            if offsets.size == 0:
                 continue
-            pages_l.append(segment.start + touched.astype(np.int64))
-            counts_l.append(counts[touched].astype(np.int64))
+            pages_l.append(segment.start + offsets)
+            counts_l.append(counts)
             writes_l.append(
-                rng.binomial(counts_l[-1], segment.write_ratio).astype(np.int64)
+                rng.binomial(counts, segment.write_ratio).astype(np.int64)
             )
             sockets_l.append(np.full(pages_l[-1].shape, segment.socket, dtype=np.int8))
         if not pages_l:

@@ -17,6 +17,7 @@ Three invariants are enforced:
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -277,6 +278,49 @@ class TestKernelDifferentials:
         for detected in cases:
             assert kernels.score_detected(detected) == \
                 _fallback.score_detected(detected)
+
+    #: Cold, warm and hot workload rates, the multiply loop's edge just
+    #: below numpy's PTRS switch at 10, and two PTRS rates.
+    POISSON_RATES = (0.0019, 0.0125, 0.2, 0.3695, 1, 4, 9.99, 10, 25)
+
+    def _assert_poisson_pair(self, got_rng, want_rng, n, lam):
+        go, gc = kernels.poisson_sparse(got_rng, n, lam)
+        wo, wc = _fallback.poisson_sparse(want_rng, n, lam)
+        np.testing.assert_array_equal(go, wo)
+        np.testing.assert_array_equal(gc, wc)
+        assert go.dtype == wo.dtype == gc.dtype == wc.dtype == np.int64
+        # The stream was consumed draw for draw.
+        assert got_rng.random() == want_rng.random()
+
+    def test_poisson_sparse(self):
+        sizes = np.random.default_rng(7)
+        for seed in (0, 1, 12345):
+            for lam in self.POISSON_RATES:
+                for n in (0, 1, int(sizes.integers(2, 50_000))):
+                    self._assert_poisson_pair(np.random.default_rng(seed),
+                                              np.random.default_rng(seed),
+                                              n, lam)
+
+    def test_poisson_sparse_spawned_and_restored_generators(self):
+        # The simulator's generators are SeedSequence.spawn children
+        # (repro.sim.rng), and snapshot/fork restores them from pickled
+        # bit-generator state.
+        children = np.random.SeedSequence(3).spawn(2)
+        warm = SimulationEngine.fork(engine("mtm", "gups").snapshot())
+        restored = warm.rngs["workload"]
+        restored.random(17)
+        for lam in (0.0125, 0.2, 4):
+            self._assert_poisson_pair(np.random.default_rng(children[1]),
+                                      np.random.default_rng(children[1]),
+                                      30_000, lam)
+            twin = pickle.loads(pickle.dumps(restored))
+            self._assert_poisson_pair(restored, twin, 30_000, lam)
+
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_poisson_sparse_rejects_invalid_rate(self, lam):
+        for impl in (kernels, _fallback):
+            with pytest.raises(ValueError):
+                impl.poisson_sparse(np.random.default_rng(0), 10, lam)
 
 
 class TestKernelInputChecks:

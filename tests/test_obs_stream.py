@@ -623,6 +623,24 @@ class TestCliLazyDir:
         assert sum(1 for r in records if r["type"] == "meta") == 1
         assert read_stream(out).registry.counters
 
+    def test_second_run_replaces_the_stream(self, tmp_path, capsys):
+        # A reader stops at the first end record, so a second run
+        # appended to the first one's stream would report the first.
+        from repro.cli import main
+
+        out = tmp_path / "again"
+        for intervals in ("3", "5"):
+            assert main(["run", "--solution", "mtm", "--workload", "gups",
+                         "--intervals", intervals, "--scale-denominator",
+                         "512", "--obs-stream", "--obs-out", str(out)]) == 0
+        records = read_records(out / "stream.ndjson")
+        assert [r["type"] for r in records].count("end") == 1
+        capsys.readouterr()
+        assert main(["report", "--run", str(out), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["counters"]["engine.intervals"] == 5
+        assert report["event_counts"]["interval.start"] == 5
+
 
 # -- the stream as the only artifact -------------------------------------------
 

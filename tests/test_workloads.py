@@ -7,7 +7,7 @@ from repro.errors import ConfigError, WorkloadError
 from repro.hw.placement import Placer
 from repro.mm.hugepage import ThpManager
 from repro.mm.vma import AddressSpace
-from repro.workloads.base import balance_cold_rate, scaled_pages
+from repro.workloads.base import RateSegment, balance_cold_rate, scaled_pages
 from repro.workloads.gups import GupsConfig, GupsWorkload
 from repro.workloads.registry import WORKLOAD_SPECS, build_workload, workload_names
 from repro.units import GiB, PAGES_PER_HUGE_PAGE
@@ -88,6 +88,14 @@ class TestHelpers:
         with pytest.raises(WorkloadError):
             balance_cold_rate(1.0, 10, hot_share=1.0)
         assert balance_cold_rate(1.0, 0) == 0.0
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.5])
+    def test_segment_rejects_invalid_rate(self, rate):
+        # A NaN rate must fail here: the sparse Poisson kernel would
+        # otherwise have to be the one to notice it.
+        with pytest.raises(WorkloadError):
+            RateSegment(start=0, npages=8, rate=rate)
+        assert RateSegment(start=0, npages=8, rate=0.0).rate == 0.0
 
 
 class TestGups:
