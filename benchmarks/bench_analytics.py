@@ -1,28 +1,26 @@
 #!/usr/bin/env python
-"""Analytics engine bench: ingest + query + diff wall time, pinned in CI.
+"""Analytics engine bench: fold + query + diff wall time, pinned in CI.
 
 The offline analytics engine (:mod:`repro.obs.analytics`) promises that
 post-hoc analysis is cheap relative to the simulation that produced the
-artifacts: ingest is one linear pass over the export, the stock
-analyses run off the columnar store without re-reading JSON, and a
-two-run diff re-uses the same stores.  This driver pins those promises
-as numbers:
+stream: every query folds the stream once, in one linear pass, and
+keeps nothing on disk.  This driver pins that promise as numbers:
 
-* **ingest** — build ``analytics.npz`` from a fresh ``--obs`` export
-  (provenance + events + metrics + spans), timed end to end including
-  the post-write validation pass;
+* **fold** — :func:`~repro.obs.analytics.load_run` over a fresh
+  ``--obs`` export: read and fold ``stream.ndjson``, then build the
+  provenance/events/metrics/spans query tables;
 * **query** — the four stock analyses (dwell histograms, top-K hot
   pages, lifecycle funnel, ping-pong detector) plus a filtered
-  group-by, all against the already-built store;
-* **diff** — ``diff_runs`` over two solutions' stores, including the
-  bootstrap confidence intervals on dwell means.
+  group-by, all against the loaded tables;
+* **diff** — ``diff_runs`` over two solutions' directories (each folded
+  afresh), including the bootstrap confidence intervals on dwell means.
 
 Results are appended as an ``analytics`` block to ``BENCH_perf.json``
 (preserving every other driver's block) so ``repro diff --bench`` and
 CI can track the trajectory.  The analytics layer never touches
-simulation state, so the block also records the store's row counts as a
-sanity anchor: a silent ingest regression (dropped tables) shows up as
-a row-count cliff, not just a suspicious speedup.
+simulation state, so the block also records the loader's per-table row
+counts as a sanity anchor: a silent fold regression (dropped tables)
+shows up as a row-count cliff, not just a suspicious speedup.
 """
 
 from __future__ import annotations
@@ -38,22 +36,20 @@ from repro.core.baselines import make_engine
 from repro.obs.analytics import (
     diff_runs,
     dwell_time,
-    ensure_store,
-    ingest_run,
     lifecycle_funnel,
+    load_run,
     ping_pong,
     query_table,
     top_pages,
 )
 from repro.obs.context import ObsConfig, ObsContext
-from repro.obs.store import STORE_NAME
 
 WORKLOAD = "gups"
 SOLUTIONS = ("mtm", "first-touch")
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 #: Stock-query repetitions per timing sample: individual analyses are
-#: sub-millisecond on quick-profile stores, so a single pass would pin
+#: sub-millisecond on quick-profile runs, so a single pass would pin
 #: timer noise rather than analysis cost.
 QUERY_ROUNDS = 5
 
@@ -67,13 +63,13 @@ def _export_run(solution: str, profile: BenchProfile, out_dir: Path) -> None:
     ctx.export(out_dir)
 
 
-def _stock_queries(store) -> dict:
+def _stock_queries(run) -> dict:
     """The stock analyses ``repro query`` exposes, one pass each."""
-    dwell = dwell_time(store)
-    top = top_pages(store, k=10)
-    funnel = lifecycle_funnel(store)
-    pp = ping_pong(store)
-    grouped = query_table(store, "events", where=["pages>0"],
+    dwell = dwell_time(run.provenance, horizon=run.meta["intervals"])
+    top = top_pages(run.provenance, k=10)
+    funnel = lifecycle_funnel(run.provenance)
+    pp = ping_pong(run.provenance)
+    grouped = query_table(run, "events", where=["pages>0"],
                          group="name", agg="sum:pages", top=5)
     return {
         "dwell_closed": int(sum(t["closed_count"]
@@ -86,7 +82,7 @@ def _stock_queries(store) -> dict:
 
 
 def run_experiment(profile: BenchProfile) -> str:
-    """Time analytics ingest, stock queries, and a two-run diff."""
+    """Time the stream fold, stock queries, and a two-run diff."""
     tmp = Path(tempfile.mkdtemp(prefix="bench-analytics-"))
     try:
         dirs = {}
@@ -95,23 +91,19 @@ def run_experiment(profile: BenchProfile) -> str:
             _export_run(solution, profile, out)
             dirs[solution] = out
 
-        primary = dirs[SOLUTIONS[0]]
         started = time.perf_counter()
-        store_path = ingest_run(primary)
-        ingest_seconds = time.perf_counter() - started
+        run = load_run(dirs[SOLUTIONS[0]])
+        fold_seconds = time.perf_counter() - started
+        rows = {t: run.rows(t) for t in sorted(run.tables)}
 
-        with ensure_store(primary) as store:
-            rows = {t: store.rows(t) for t in store.tables()}
-            started = time.perf_counter()
-            for _ in range(QUERY_ROUNDS):
-                answers = _stock_queries(store)
-            query_seconds = (time.perf_counter() - started) / QUERY_ROUNDS
+        started = time.perf_counter()
+        for _ in range(QUERY_ROUNDS):
+            answers = _stock_queries(run)
+        query_seconds = (time.perf_counter() - started) / QUERY_ROUNDS
 
         started = time.perf_counter()
         diff = diff_runs(dirs[SOLUTIONS[0]], dirs[SOLUTIONS[1]])
         diff_seconds = time.perf_counter() - started
-
-        store_bytes = store_path.stat().st_size
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -119,11 +111,10 @@ def run_experiment(profile: BenchProfile) -> str:
         "profile": profile.name,
         "workload": WORKLOAD,
         "intervals": profile.intervals_for(WORKLOAD),
-        "ingest_seconds": round(ingest_seconds, 4),
+        "fold_seconds": round(fold_seconds, 4),
         "query_seconds": round(query_seconds, 4),
         "diff_seconds": round(diff_seconds, 4),
-        "store_bytes": store_bytes,
-        "store_rows": rows,
+        "rows": rows,
         "funnel_occurrences": answers["funnel_occurrences"],
         "diff_metrics": len(diff["metrics"]),
     }
@@ -140,9 +131,8 @@ def run_experiment(profile: BenchProfile) -> str:
     return (
         f"analytics bench ({profile.name} profile, {WORKLOAD}, "
         f"{block['intervals']} intervals)\n"
-        f"  ingest ({STORE_NAME}, {store_bytes / 1024:.0f} KiB): "
-        f"{ingest_seconds:6.3f}s\n"
-        f"  store rows: {row_text}\n"
+        f"  fold (stream -> query tables): {fold_seconds:6.3f}s\n"
+        f"  table rows: {row_text}\n"
         f"  stock queries (dwell/top/funnel/ping-pong/group-by, "
         f"mean of {QUERY_ROUNDS}): {query_seconds:6.4f}s\n"
         f"  diff ({SOLUTIONS[0]} vs {SOLUTIONS[1]}, "

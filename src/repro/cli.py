@@ -11,12 +11,10 @@ Commands:
 * ``watch`` — live dashboard over a streaming (``--obs-stream``) run,
   from its NDJSON file or as a listening socket server (``--connect``);
 * ``report`` — summarize an observability export (event counts,
-  metrics; ``--json`` for scripts, with the ping-pong summary folded in
-  when an analytics store exists);
-* ``query`` — columnar analytics over an artifact directory: ingests it
-  into ``analytics.npz`` on first use, then answers dwell-time,
-  top-K hot pages, lifecycle funnel, ping-pong, or generic
-  filter/group/top-N table queries;
+  metrics, ping-pong summary; ``--json`` for scripts);
+* ``query`` — analytics over an artifact directory: folds its stream
+  and answers dwell-time, top-K hot pages, lifecycle funnel, ping-pong,
+  or generic filter/group/top-N table queries, writing nothing;
 * ``diff`` — compare two runs metric-by-metric (deltas, bootstrap CIs,
   verdicts, optional ``--html`` report), or ``--bench`` to check the
   newest ``BENCH_history.jsonl`` record against earlier entries;
@@ -242,26 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--json", action="store_true",
-        help="emit the report as machine-readable JSON (scriptable; "
-             "folds the ping-pong summary when an analytics store exists)",
+        help="emit the report, ping-pong summary included, as "
+             "machine-readable JSON (scriptable)",
     )
 
     query = sub.add_parser(
-        "query", help="columnar analytics over an --obs artifact directory"
+        "query", help="analytics over an --obs artifact directory "
+                      "(read-only)"
     )
     query.add_argument(
         "--run", required=True, metavar="DIR",
         help="artifact directory: a run/sweep --obs-out, a service "
              "state dir, or a bare --obs-stream directory",
-    )
-    query.add_argument(
-        "--store", default=None, metavar="FILE",
-        help="analytics bundle path (default: DIR/analytics.npz; "
-             "ingested on first use)",
-    )
-    query.add_argument(
-        "--reingest", action="store_true",
-        help="rebuild the analytics store even if one exists",
     )
     query.add_argument(
         "--analysis", default="summary",
@@ -329,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument(
         "a", nargs="?", default=None, metavar="A",
-        help="baseline artifact directory (or analytics.npz)",
+        help="baseline artifact directory",
     )
     diff.add_argument(
         "b", nargs="?", default=None, metavar="B",
-        help="candidate artifact directory (or analytics.npz)",
+        help="candidate artifact directory",
     )
     diff.add_argument(
         "--bench", action="store_true",
@@ -354,10 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, metavar="FRAC",
         help="relative change treated as noise (default: 0.01 for runs, "
              "0.05 for --bench)",
-    )
-    diff.add_argument(
-        "--reingest", action="store_true",
-        help="rebuild both analytics stores before diffing",
     )
     diff.add_argument(
         "--limit", type=int, default=40, metavar="N",
@@ -891,7 +877,7 @@ def _render_query_text(report: dict) -> str:
                             else ""))
         return "\n".join(lines)
     if analysis == "summary":
-        table = Table(f"Analytics store summary "
+        table = Table(f"Analytics summary "
                       f"({report['meta'].get('label', '?')})",
                       ["table", "rows"])
         for name, rows in sorted(report["tables"].items()):
@@ -922,26 +908,25 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     from repro.obs import analytics
 
-    store = analytics.ensure_store(args.run, store_path=args.store,
-                                   reingest=args.reingest)
-    with store:
-        if args.analysis == "summary":
-            report = analytics.store_summary(store)
-        elif args.analysis == "dwell":
-            report = analytics.dwell_time(store, start=args.start,
-                                          end=args.end)
-        elif args.analysis == "top-pages":
-            report = analytics.top_pages(store, k=args.top or 10)
-        elif args.analysis == "funnel":
-            report = analytics.lifecycle_funnel(store)
-        elif args.analysis == "ping-pong":
-            report = analytics.ping_pong(store,
-                                         min_round_trips=args.min_trips,
-                                         window=args.window)
-        else:
-            report = analytics.query_table(
-                store, args.table, where=args.where, group=args.group,
-                agg=args.agg, top=args.top, limit=args.limit)
+    run = analytics.load_run(args.run)
+    if args.analysis == "summary":
+        report = analytics.run_summary(run)
+    elif args.analysis == "dwell":
+        report = analytics.dwell_time(run.provenance, start=args.start,
+                                      end=args.end,
+                                      horizon=run.meta["intervals"])
+    elif args.analysis == "top-pages":
+        report = analytics.top_pages(run.provenance, k=args.top or 10)
+    elif args.analysis == "funnel":
+        report = analytics.lifecycle_funnel(run.provenance)
+    elif args.analysis == "ping-pong":
+        report = analytics.ping_pong(run.provenance,
+                                     min_round_trips=args.min_trips,
+                                     window=args.window)
+    else:
+        report = analytics.query_table(
+            run, args.table, where=args.where, group=args.group,
+            agg=args.agg, top=args.top, limit=args.limit)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _json.dump(report, fh, indent=2, sort_keys=True)
@@ -970,7 +955,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
             return 2
         diff = analytics.diff_runs(args.a, args.b,
                                    tol=args.tol if args.tol is not None
-                                   else 0.01, reingest=args.reingest)
+                                   else 0.01)
     if args.html:
         with open(args.html, "w", encoding="utf-8") as fh:
             fh.write(analytics.render_diff_html(diff))

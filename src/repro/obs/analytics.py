@@ -1,20 +1,23 @@
 """Offline analytics over a run's telemetry stream.
 
-Three layers on top of :mod:`repro.obs.store`:
+Three layers, all reading the one fold of :mod:`repro.obs.stream`:
 
-* **Ingest** — :func:`ingest_run` folds a run/sweep/service directory
-  (``stream.ndjson`` plain or ``.gz``, service ``journal.ndjson``) into
-  the deterministic columnar bundle ``analytics.npz``.  The stream is
-  read by the one fold of :mod:`repro.obs.stream`, which merges tracks
-  in name order; rows are canonicalized (events and spans by track,
-  provenance by its full key) so the bundle bytes do not depend on
-  absorb or relay order.
+* **Loader** — :func:`load_run` folds a run/sweep/service directory
+  (``stream.ndjson`` plain or ``.gz``, finished or cut short; service
+  ``journal.ndjson``) and returns the fold, its provenance in canonical
+  order (sorted by the full record key, so the answer does not depend
+  on absorb or relay order), and five in-memory query tables of numpy
+  columns (provenance, events, metrics, spans, journal).  Nothing is
+  written back: every query reads the stream as it is now.
+  :func:`sim_fingerprint` hashes the simulation-domain rows of those
+  tables.
 * **Analyses** — :func:`dwell_time`, :func:`top_pages`,
-  :func:`lifecycle_funnel`, :func:`ping_pong`, and a generic
-  :func:`query_table` verb with filter/group/top-N.  Each returns a
-  machine-readable dict; the ping-pong report doubles as a deny-list
-  seed for the planned admission-control plane (its ``deny_ranges`` are
-  page ranges an admission filter can refuse to re-promote).
+  :func:`lifecycle_funnel`, :func:`ping_pong` over a provenance log,
+  and a generic :func:`query_table` verb with filter/group/top-N over
+  the tables.  Each returns a machine-readable dict; the ping-pong
+  report doubles as a deny-list seed for the planned admission-control
+  plane (its ``deny_ranges`` are page ranges an admission filter can
+  refuse to re-promote).
 * **Diff** — :func:`diff_runs` compares two runs metric-by-metric with
   verdicts and bootstrap confidence intervals (reusing
   :mod:`repro.bench.stats`); :func:`diff_bench` compares the newest
@@ -25,14 +28,17 @@ provenance log.  A multi-cell matrix merges every cell's provenance
 into one log without track tags, so page identities collide across
 cells; run those analyses on single-run directories (``repro run
 --obs``) for exact answers.  Hotness comes from the planner's region
-scores — the artifacts carry no raw per-access counts — so "access
+scores — the stream carries no raw per-access counts — so "access
 share" here is *hotness-mass share*.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,14 +48,9 @@ from repro.obs.provenance import (
     STAGE_PLANNED,
     ProvenanceLog,
 )
-from repro.obs.store import (
-    EVENT_FIELD_COLUMNS,
-    STORE_NAME,
-    Store,
-    TableBuilder,
-    validate_store,
-    write_store,
-)
+
+if TYPE_CHECKING:
+    from repro.obs.stream import StreamFold
 
 #: Report schema version stamped into every analysis dict.
 REPORT_VERSION = 1
@@ -58,77 +59,153 @@ _PROV_SORT_KEY = ("interval", "page_start", "npages", "src_node",
                   "dst_node", "stage", "attempt", "score", "reason",
                   "detail")
 
+#: Numeric event fields lifted into dedicated columns (NaN when the
+#: event does not carry the field); the rest of an event's payload is
+#: left out of the table.
+EVENT_FIELD_COLUMNS = ("pages", "src", "dst", "score", "count",
+                      "attempt", "nbytes")
 
-# -- ingest --------------------------------------------------------------------
+#: Query table schemas, column order significant (it is the row tuple
+#: order of :func:`sim_fingerprint`).  ``object`` columns hold strings;
+#: a missing cell reads ``""``, NaN (floats) or -1 (integers).
+TABLE_SCHEMAS: dict[str, dict[str, type]] = {
+    "provenance": {
+        "interval": np.int64, "page_start": np.int64, "npages": np.int64,
+        "src_node": np.int32, "dst_node": np.int32, "attempt": np.int32,
+        "score": np.float64, "stage": object, "reason": object,
+    },
+    "events": {
+        "interval": np.int64, "ts": np.float64, "sim_time": np.float64,
+        "name": object, "track": object,
+        **{field: np.float64 for field in EVENT_FIELD_COLUMNS},
+    },
+    "metrics": {
+        "name": object, "kind": object, "value": np.float64,
+        "count": np.float64, "total": np.float64, "min": np.float64,
+        "max": np.float64,
+    },
+    "spans": {
+        "name": object, "track": object, "ts": np.float64, "dur": np.float64,
+    },
+    "journal": {
+        "op": object, "job": object, "workload": object, "solution": object,
+        "source": object, "state": object, "attempt": np.int32,
+    },
+}
 
-
-def _ingest_provenance(builder: TableBuilder, records) -> int:
-    ordered = sorted(
-        records, key=lambda r: tuple(getattr(r, k) for k in _PROV_SORT_KEY)
-    )
-    for r in ordered:
-        builder.add(interval=r.interval, page_start=r.page_start,
-                    npages=r.npages, src_node=r.src_node,
-                    dst_node=r.dst_node, attempt=r.attempt, score=r.score,
-                    stage=r.stage, reason=r.reason)
-    return len(ordered)
-
-
-def _ingest_events(builder: TableBuilder, events) -> None:
-    for track, event in events:
-        fields = {f: event.fields[f] for f in EVENT_FIELD_COLUMNS
-                  if isinstance(event.fields.get(f), (int, float))}
-        builder.add(interval=event.interval, ts=event.ts,
-                    sim_time=event.sim_time, name=event.name, track=track,
-                    **fields)
-
-
-def _ingest_metrics(builder: TableBuilder, data: dict) -> None:
-    rows: list[tuple] = []
-    for name, value in data["counters"].items():
-        rows.append(("counter", name, float(value), None, None, None, None))
-    for name, value in data["gauges"].items():
-        rows.append(("gauge", name, float(value), None, None, None, None))
-    for name, stat in data["histograms"].items():
-        rows.append(("histogram", name, float(stat["mean"]),
-                     float(stat["count"]), float(stat["total"]),
-                     float(stat["min"]), float(stat["max"])))
-    for kind, name, value, count, total, mn, mx in sorted(
-            rows, key=lambda r: (r[0], r[1])):
-        builder.add(name=name, kind=kind, value=value, count=count,
-                    total=total, min=mn, max=mx)
-
-
-def _ingest_spans(builder: TableBuilder, spans) -> None:
-    # Microseconds, the Chrome/Perfetto unit of trace.json.
-    for track, span in spans:
-        builder.add(name=span.name, track=track, ts=span.ts * 1e6,
-                    dur=span.dur * 1e6)
+#: Metric/event name prefixes that are host-side, not simulated (see
+#: tests/test_obs_identity.py); excluded from :func:`sim_fingerprint`.
+HOST_METRIC_PREFIXES = ("cache.", "perf.", "obs.")
+HOST_EVENT_PREFIXES = ("cache.",)
+#: Name substrings marking host wall-clock metrics outside the host
+#: prefixes (e.g. ``engine.interval_host_seconds``).
+HOST_METRIC_SUBSTRINGS = ("host_seconds",)
 
 
-def _ingest_journal(builder: TableBuilder, state_dir: Path) -> None:
+# -- loader --------------------------------------------------------------------
+
+
+def _columns(table: str, rows) -> dict[str, np.ndarray]:
+    """Column arrays of ``table`` built from row dicts."""
+    schema = TABLE_SCHEMAS[table]
+    cells: dict[str, list] = {col: [] for col in schema}
+    for row in rows:
+        for col, dtype in schema.items():
+            value = row.get(col)
+            if dtype is object:
+                value = "" if value is None else str(value)
+            elif value is None:
+                value = np.nan if dtype is np.float64 else -1
+            cells[col].append(value)
+    return {col: np.array(values, dtype=schema[col])
+            for col, values in cells.items()}
+
+
+def _metric_rows(data: dict) -> list[dict]:
+    rows = [{"kind": "counter", "name": name, "value": float(value)}
+            for name, value in data["counters"].items()]
+    rows += [{"kind": "gauge", "name": name, "value": float(value)}
+             for name, value in data["gauges"].items()]
+    rows += [{"kind": "histogram", "name": name,
+              "value": float(stat["mean"]), "count": float(stat["count"]),
+              "total": float(stat["total"]), "min": float(stat["min"]),
+              "max": float(stat["max"])}
+             for name, stat in data["histograms"].items()]
+    return sorted(rows, key=lambda r: (r["kind"], r["name"]))
+
+
+def _event_row(track: str, event) -> dict:
+    row = {f: event.fields[f] for f in EVENT_FIELD_COLUMNS
+           if isinstance(event.fields.get(f), (int, float))}
+    row.update(interval=event.interval, ts=event.ts,
+               sim_time=event.sim_time, name=event.name, track=track)
+    return row
+
+
+def _journal_rows(state_dir: Path) -> list[dict]:
     from repro.service.journal import Journal
 
-    for record in Journal(state_dir).records():
-        builder.add(op=record.get("op", ""),
-                    job=record.get("job_id", ""),
-                    workload=record.get("workload", ""),
-                    solution=record.get("solution", ""),
-                    source=record.get("source", ""),
-                    state=record.get("state", ""),
-                    attempt=int(record.get("attempt", -1)))
+    return [{"op": r.get("op", ""), "job": r.get("job_id", ""),
+             "workload": r.get("workload", ""),
+             "solution": r.get("solution", ""),
+             "source": r.get("source", ""), "state": r.get("state", ""),
+             "attempt": int(r.get("attempt", -1))}
+            for r in Journal(state_dir).records()]
 
 
-def ingest_run(run_dir, store_path=None) -> Path:
-    """Fold one artifact directory into ``analytics.npz``; returns its path.
+def _prov_key(record) -> tuple:
+    return tuple(getattr(record, k) for k in _PROV_SORT_KEY)
+
+
+def canonical_provenance(log: ProvenanceLog) -> ProvenanceLog:
+    """The log's records sorted by their full key (absorb-order free)."""
+    return ProvenanceLog(sorted(log.records, key=_prov_key))
+
+
+@dataclass
+class RunData:
+    """One artifact directory read back for analysis (see :func:`load_run`).
+
+    ``fold`` is ``None`` for a service directory without a stream.
+    ``meta`` holds ``source`` (``stream`` or ``service``), ``intervals``
+    (one past the last interval any event or provenance record names)
+    and, with a stream, the fold's ``label``.
+    """
+
+    path: Path
+    fold: StreamFold | None
+    provenance: ProvenanceLog
+    tables: dict[str, dict[str, np.ndarray]]
+    meta: dict
+
+    def rows(self, table: str) -> int:
+        return len(next(iter(self.table(table).values())))
+
+    def table(self, table: str) -> dict[str, np.ndarray]:
+        try:
+            return self.tables[table]
+        except KeyError:
+            raise ConfigError(
+                f"{self.path} has no table {table!r} "
+                f"(tables: {', '.join(sorted(self.tables))})"
+            ) from None
+
+    def column(self, table: str, col: str) -> np.ndarray:
+        try:
+            return self.table(table)[col]
+        except KeyError:
+            raise ConfigError(f"table {table!r} has no column {col!r}") from None
+
+
+def load_run(run_dir) -> RunData:
+    """Fold one artifact directory into its provenance and query tables.
 
     Accepts a run/sweep ``--obs-out`` directory (its ``stream.ndjson``,
-    plain or ``.gz`` — finished, or cut short with no ``end`` record)
-    or a service state directory (journal plus optional stream).  The
-    stream is read through :func:`~repro.obs.stream.read_stream`, whose
-    track-ordered fold makes the bundle independent of how a pooled run
-    interleaved its cells: ingesting the same content twice writes
-    byte-identical bundles.
+    plain or ``.gz``) or a service state directory (journal plus
+    optional stream).  The stream is read through
+    :func:`~repro.obs.stream.read_stream`, whose track-ordered fold
+    makes every table independent of how a pooled run interleaved its
+    cells.
     """
     from repro.obs.stream import read_stream, stream_file
     from repro.service.journal import JOURNAL_NAME
@@ -136,8 +213,6 @@ def ingest_run(run_dir, store_path=None) -> Path:
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         raise ConfigError(f"{run_dir} is not a directory")
-    store_path = Path(store_path) if store_path else run_dir / STORE_NAME
-
     has_stream = stream_file(run_dir).exists()
     has_journal = (run_dir / JOURNAL_NAME).exists()
     if not (has_stream or has_journal):
@@ -146,111 +221,111 @@ def ingest_run(run_dir, store_path=None) -> Path:
             f"made with --obs (or the service with --obs-stream)?"
         )
 
-    tables: dict[str, dict] = {}
+    fold = read_stream(run_dir) if has_stream else None
+    provenance = canonical_provenance(
+        fold.provenance if fold else ProvenanceLog())
+    tables = {
+        "provenance": _columns("provenance", (
+            {k: getattr(r, k) for k in TABLE_SCHEMAS["provenance"]}
+            for r in provenance.records)),
+        "events": _columns("events", (
+            _event_row(track, event) for track, event in
+            (fold.events if fold else ()))),
+    }
     meta: dict = {"source": "service" if has_journal else "stream"}
-    events = TableBuilder("events")
-    prov = TableBuilder("provenance")
-    if has_stream:
-        fold = read_stream(run_dir)
+    if fold:
         meta["label"] = fold.label
-        metrics = TableBuilder("metrics")
-        _ingest_metrics(metrics, fold.registry.as_dict())
-        tables["metrics"] = metrics.freeze()
-        _ingest_events(events, fold.events)
-        _ingest_provenance(prov, fold.provenance.records)
-        spans = TableBuilder("spans")
-        _ingest_spans(spans, fold.spans)
-        tables["spans"] = spans.freeze()
-    tables["events"] = events.freeze()
-    tables["provenance"] = prov.freeze()
+        tables["metrics"] = _columns(
+            "metrics", _metric_rows(fold.registry.as_dict()))
+        # Microseconds, the Chrome/Perfetto unit of trace.json.
+        tables["spans"] = _columns("spans", (
+            {"name": span.name, "track": track, "ts": span.ts * 1e6,
+             "dur": span.dur * 1e6} for track, span in fold.spans))
     if has_journal:
-        journal = TableBuilder("journal")
-        _ingest_journal(journal, run_dir)
-        tables["journal"] = journal.freeze()
-
-    last = -1
-    for name in ("events", "provenance"):
-        col = tables[name]["columns"]["interval"]
-        if len(col):
-            last = max(last, int(col.max()))
-    meta["intervals"] = last + 1
-
-    write_store(store_path, tables, meta=meta)
-    problems = validate_store(Store(store_path))
-    if problems:  # pragma: no cover - would be an ingest bug
-        raise ConfigError(f"ingest produced an invalid store: {problems[0]}")
-    return store_path
+        tables["journal"] = _columns("journal", _journal_rows(run_dir))
+    meta["intervals"] = max(
+        (int(tables[t]["interval"].max()) for t in ("events", "provenance")
+         if len(tables[t]["interval"])), default=-1) + 1
+    return RunData(run_dir, fold, provenance, tables, meta)
 
 
-def ensure_store(run_dir, store_path=None, reingest: bool = False) -> Store:
-    """Open the directory's store, ingesting it first when needed."""
-    run_dir = Path(run_dir)
-    if run_dir.is_file():
-        return Store(run_dir)
-    path = Path(store_path) if store_path else run_dir / STORE_NAME
-    if reingest or not path.exists():
-        ingest_run(run_dir, path)
-    return Store(path)
+def _hash_rows(digest, columns: list[np.ndarray]) -> None:
+    for row in zip(*[c.tolist() for c in columns]):
+        digest.update(repr(row).encode("utf-8"))
+        digest.update(b"\n")
+
+
+#: Per-table predicate on ``name`` marking host-side rows, which
+#: :func:`sim_fingerprint` leaves out.
+_HOST_ROWS = {
+    "events": lambda name: name.startswith(HOST_EVENT_PREFIXES),
+    "metrics": lambda name: (name.startswith(HOST_METRIC_PREFIXES)
+                             or any(s in name for s in HOST_METRIC_SUBSTRINGS)),
+}
+
+
+def sim_fingerprint(run: RunData) -> str:
+    """Hex digest of a run's simulation-domain content.
+
+    A serial and a ``workers=K`` run of the same matrix must agree
+    here: the event ``ts`` wall-clock column, ``cache.*`` events,
+    ``cache.*``/``perf.*``/``obs.*`` and ``host_seconds`` metrics, and
+    the spans table (pure wall-clock) are excluded; event rows are
+    compared track-by-track in each track's own emission order, which
+    the fold guarantees.
+    """
+    digest = hashlib.sha256()
+    for table in ("provenance", "events", "metrics", "journal"):
+        if table not in run.tables:
+            continue
+        digest.update(f"{table}\n".encode("utf-8"))
+        columns = run.tables[table]
+        host = _HOST_ROWS.get(table)
+        keep = (np.array([not host(n) for n in columns["name"].tolist()],
+                         dtype=bool) if host else slice(None))
+        _hash_rows(digest, [col[keep] for name, col in columns.items()
+                            if (table, name) != ("events", "ts")])
+    return digest.hexdigest()
 
 
 # -- provenance row access -----------------------------------------------------
 
 
-def _committed_rows(source, start=None, end=None):
-    """(interval, page_start, npages, src, dst) arrays of committed moves.
-
-    ``source`` is a :class:`Store` or a :class:`ProvenanceLog`; the log
-    path routes through :meth:`ProvenanceLog.for_interval` so windowed
-    analyses share one range-query implementation.
-    """
-    if isinstance(source, ProvenanceLog):
-        lo = 0 if start is None else start
-        hi = (max((r.interval for r in source.records), default=-1) + 1
-              if end is None else end)
-        rows = [r for r in source.for_interval(lo, hi)
-                if r.stage == STAGE_COMMITTED]
-        rows.sort(key=lambda r: tuple(getattr(r, k) for k in _PROV_SORT_KEY))
-        return (np.array([r.interval for r in rows], dtype=np.int64),
-                np.array([r.page_start for r in rows], dtype=np.int64),
-                np.array([r.npages for r in rows], dtype=np.int64),
-                np.array([r.src_node for r in rows], dtype=np.int64),
-                np.array([r.dst_node for r in rows], dtype=np.int64))
-    stage = source.decoded("provenance", "stage")
-    mask = stage == STAGE_COMMITTED
-    interval = source.column("provenance", "interval")
-    if start is not None:
-        mask &= interval >= start
-    if end is not None:
-        mask &= interval < end
-    return (interval[mask],
-            source.column("provenance", "page_start")[mask],
-            source.column("provenance", "npages")[mask],
-            source.column("provenance", "src_node")[mask].astype(np.int64),
-            source.column("provenance", "dst_node")[mask].astype(np.int64))
+def _committed_rows(log: ProvenanceLog, start=None, end=None):
+    """(interval, page_start, npages, src, dst) arrays of committed moves,
+    in canonical order, through :meth:`ProvenanceLog.for_interval`."""
+    lo = 0 if start is None else start
+    hi = _end_interval(log) if end is None else end
+    rows = [r for r in log.for_interval(lo, hi) if r.stage == STAGE_COMMITTED]
+    rows.sort(key=_prov_key)
+    return (np.array([r.interval for r in rows], dtype=np.int64),
+            np.array([r.page_start for r in rows], dtype=np.int64),
+            np.array([r.npages for r in rows], dtype=np.int64),
+            np.array([r.src_node for r in rows], dtype=np.int64),
+            np.array([r.dst_node for r in rows], dtype=np.int64))
 
 
-def _end_interval(source, end=None) -> int:
-    if end is not None:
-        return end
-    if isinstance(source, ProvenanceLog):
-        return max((r.interval for r in source.records), default=-1) + 1
-    return int(source.meta.get("intervals", 0))
+def _end_interval(log: ProvenanceLog) -> int:
+    return max((r.interval for r in log.records), default=-1) + 1
 
 
 # -- built-in analyses ---------------------------------------------------------
 
 
-def dwell_samples(source, start=None, end=None):
+def dwell_samples(log: ProvenanceLog, start=None, end=None, horizon=None):
     """Closed/open dwell durations per tier, from committed migrations.
 
     Returns ``(closed, open_)``: dicts mapping tier id to an int64 array
     of dwell lengths (intervals a page spent on that tier before being
     migrated away / before the run ended).  A page's residence is only
     visible between migrations, so never-migrated pages contribute
-    nothing — dwell describes the *migrated* population.
+    nothing — dwell describes the *migrated* population.  Open
+    residences run to ``end``, else to ``horizon`` (the interval count
+    of the run, :attr:`RunData.meta` ``intervals``), else to one past
+    the last provenance record.
     """
     interval, page_start, npages, src, dst = _committed_rows(
-        source, start, end)
+        log, start, end)
     closed: dict[int, list[np.ndarray]] = {}
     if len(page_start) == 0:
         return {}, {}
@@ -268,7 +343,10 @@ def dwell_samples(source, start=None, end=None):
                     dwell[tier[sl][known] == t])
         tier[sl] = d
         since[sl] = iv
-    horizon = _end_interval(source, end)
+    if end is not None:
+        horizon = end
+    elif horizon is None:
+        horizon = _end_interval(log)
     open_: dict[int, np.ndarray] = {}
     resident = tier >= 0
     for t in np.unique(tier[resident]).tolist():
@@ -277,10 +355,10 @@ def dwell_samples(source, start=None, end=None):
             open_)
 
 
-def dwell_time(source, start=None, end=None,
+def dwell_time(log: ProvenanceLog, start=None, end=None, horizon=None,
                bin_edges=(1, 2, 4, 8, 16, 32, 64, 128, 256)) -> dict:
     """Per-tier dwell-time histograms (machine-readable report)."""
-    closed, open_ = dwell_samples(source, start, end)
+    closed, open_ = dwell_samples(log, start, end, horizon)
     edges = list(bin_edges)
     tiers: dict[str, dict] = {}
     for t in sorted(set(closed) | set(open_)):
@@ -303,24 +381,17 @@ def dwell_time(source, start=None, end=None,
             "samples_total": int(sum(len(v) for v in closed.values()))}
 
 
-def top_pages(source, k: int = 10) -> dict:
+def top_pages(log: ProvenanceLog, k: int = 10) -> dict:
     """Top-K hot pages by hotness-mass share.
 
     Share is each page's fraction of the total planner score mass
-    accumulated over ``planned`` provenance records (the artifacts carry
-    region scores, not raw access counts).
+    accumulated over ``planned`` provenance records (the stream carries
+    region scores, not raw access counts), summed in log order.
     """
-    if isinstance(source, ProvenanceLog):
-        rows = [r for r in source.records if r.stage == STAGE_PLANNED]
-        page_start = np.array([r.page_start for r in rows], dtype=np.int64)
-        npages = np.array([r.npages for r in rows], dtype=np.int64)
-        score = np.array([r.score for r in rows], dtype=np.float64)
-    else:
-        stage = source.decoded("provenance", "stage")
-        mask = stage == STAGE_PLANNED
-        page_start = source.column("provenance", "page_start")[mask]
-        npages = source.column("provenance", "npages")[mask]
-        score = source.column("provenance", "score")[mask]
+    rows = [r for r in log.records if r.stage == STAGE_PLANNED]
+    page_start = np.array([r.page_start for r in rows], dtype=np.int64)
+    npages = np.array([r.npages for r in rows], dtype=np.int64)
+    score = np.array([r.score for r in rows], dtype=np.float64)
     if len(page_start) == 0:
         return {"v": REPORT_VERSION, "analysis": "top-pages", "k": k,
                 "total_score": 0.0, "pages": []}
@@ -340,32 +411,23 @@ def top_pages(source, k: int = 10) -> dict:
 
 #: Causal rank of lifecycle stages within one interval: a plan precedes
 #: the commit it causes, so same-interval pairs must match in this
-#: order, not the store's alphabetical canonical order.
+#: order, not the alphabetical stage order of canonical provenance.
 _STAGE_RANK = {"planned": 0, "retry-scheduled": 1, "busy": 2,
                "pressure": 3, "demote-for-room": 4, "fallback": 5,
                "committed": 6, "exhausted": 7}
 
 
-def lifecycle_funnel(source) -> dict:
+def lifecycle_funnel(log: ProvenanceLog) -> dict:
     """Stage funnel + per-occurrence plan→commit latency distribution.
 
     Latencies FIFO-match each region's ``planned`` records to its
     subsequent ``committed`` records in the same direction — the
     log-wide analog of :meth:`ProvenanceLog.queue_latencies`.
     """
-    if isinstance(source, ProvenanceLog):
-        stages = [r.stage for r in source.records]
-        keys = [(r.page_start, r.npages, r.src_node, r.dst_node)
-                for r in source.records]
-        intervals = [r.interval for r in source.records]
-    else:
-        stages = source.decoded("provenance", "stage").tolist()
-        intervals = source.column("provenance", "interval").tolist()
-        keys = list(zip(
-            source.column("provenance", "page_start").tolist(),
-            source.column("provenance", "npages").tolist(),
-            source.column("provenance", "src_node").tolist(),
-            source.column("provenance", "dst_node").tolist()))
+    stages = [r.stage for r in log.records]
+    keys = [(r.page_start, r.npages, r.src_node, r.dst_node)
+            for r in log.records]
+    intervals = [r.interval for r in log.records]
     order = sorted(
         range(len(stages)),
         key=lambda i: (intervals[i], _STAGE_RANK.get(stages[i], 9), i))
@@ -397,7 +459,7 @@ def lifecycle_funnel(source) -> dict:
     }
 
 
-def ping_pong(source, min_round_trips: int = 2, window: int = 8,
+def ping_pong(log: ProvenanceLog, min_round_trips: int = 2, window: int = 8,
               max_pages: int = 1000) -> dict:
     """Pages bouncing between tiers: the admission-control deny-list seed.
 
@@ -407,7 +469,7 @@ def ping_pong(source, min_round_trips: int = 2, window: int = 8,
     offenders coalesce into ``deny_ranges`` (``[start, end)`` page
     spans) that a future admission filter can consume directly.
     """
-    interval, page_start, npages, src, dst = _committed_rows(source)
+    interval, page_start, npages, src, dst = _committed_rows(log)
     params = {"min_round_trips": min_round_trips, "window": window}
     if len(page_start) == 0:
         return {"v": REPORT_VERSION, "analysis": "ping-pong",
@@ -438,17 +500,17 @@ def ping_pong(source, min_round_trips: int = 2, window: int = 8,
             "deny_ranges": ranges}
 
 
-def store_summary(store: Store) -> dict:
-    """Bundle overview: meta, table sizes, stage/event totals."""
-    tables = {name: store.rows(name) for name in store.tables()}
+def run_summary(run: RunData) -> dict:
+    """Run overview: meta, table sizes, stage/event totals."""
+    tables = {name: run.rows(name) for name in sorted(run.tables)}
     out = {"v": REPORT_VERSION, "analysis": "summary",
-           "meta": dict(store.meta), "tables": tables}
-    if "provenance" in tables and tables["provenance"]:
-        stages = store.decoded("provenance", "stage")
+           "meta": dict(sorted(run.meta.items())), "tables": tables}
+    if tables["provenance"]:
+        stages = run.column("provenance", "stage")
         uniq, counts = np.unique(stages, return_counts=True)
         out["stages"] = {str(s): int(c) for s, c in zip(uniq, counts)}
-    if "events" in tables and tables["events"]:
-        names = store.decoded("events", "name")
+    if tables["events"]:
+        names = run.column("events", "name")
         uniq, counts = np.unique(names, return_counts=True)
         out["events"] = {str(s): int(c) for s, c in zip(uniq, counts)}
     return out
@@ -468,18 +530,17 @@ def _parse_where(clause: str) -> tuple[str, str, str]:
                       f"(expected COL{_OPS} VALUE)")
 
 
-def _where_mask(store: Store, table: str, clauses) -> np.ndarray:
-    mask = np.ones(store.rows(table), dtype=bool)
+def _where_mask(run: RunData, table: str, clauses) -> np.ndarray:
+    mask = np.ones(run.rows(table), dtype=bool)
     for clause in clauses or ():
         col, op, value = _parse_where(clause)
-        if store.is_categorical(table, col):
+        data = run.column(table, col)
+        if data.dtype == object:
             if op not in ("=", "!="):
                 raise ConfigError(
                     f"column {col!r} is categorical; only = and != apply")
-            data = store.decoded(table, col)
             hit = data == value
         else:
-            data = store.column(table, col)
             try:
                 needle = float(value)
             except ValueError:
@@ -492,29 +553,22 @@ def _where_mask(store: Store, table: str, clauses) -> np.ndarray:
     return mask
 
 
-def query_table(store: Store, table: str, where=None, group: str | None = None,
-                agg: str = "count", top: int | None = None,
-                limit: int = 20) -> dict:
+def query_table(run: RunData, table: str, where=None,
+                group: str | None = None, agg: str = "count",
+                top: int | None = None, limit: int = 20) -> dict:
     """Filter/group/top-N over one table; machine-readable result.
 
     ``agg`` is ``count`` or ``sum:COL``/``mean:COL``/``min:COL``/
-    ``max:COL``.  Without ``group``, returns the first ``limit``
-    matching rows, fully decoded.
+    ``max:COL`` over a numeric column.  Without ``group``, returns the
+    first ``limit`` matching rows.
     """
-    mask = _where_mask(store, table, where)
+    mask = _where_mask(run, table, where)
     matched = int(mask.sum())
     if group is None:
-        rows = []
-        idx = np.nonzero(mask)[0][:limit]
-        for i in idx.tolist():
-            row = {}
-            for col in store.columns(table):
-                value = (store.decoded(table, col)[i]
-                         if store.is_categorical(table, col)
-                         else store.column(table, col)[i])
-                row[col] = (value if isinstance(value, str)
-                            else value.item())
-            rows.append(row)
+        columns = run.table(table)
+        rows = [{col: (data[i] if data.dtype == object else data[i].item())
+                 for col, data in columns.items()}
+                for i in np.nonzero(mask)[0][:limit].tolist()]
         return {"v": REPORT_VERSION, "table": table, "matched": matched,
                 "rows": rows}
 
@@ -523,13 +577,16 @@ def query_table(store: Store, table: str, where=None, group: str | None = None,
         raise ConfigError(f"unknown aggregate {op!r}")
     if op != "count" and not target:
         raise ConfigError(f"aggregate {op!r} needs a column: {op}:COL")
-    keys = (store.decoded(table, group) if store.is_categorical(table, group)
-            else store.column(table, group))[mask]
+    keys = run.column(table, group)[mask]
     uniq, inverse = np.unique(keys, return_inverse=True)
     if op == "count":
         values = np.bincount(inverse, minlength=len(uniq)).astype(float)
     else:
-        data = store.column(table, target)[mask].astype(float)
+        data = run.column(table, target)[mask]
+        if data.dtype == object:
+            raise ConfigError(
+                f"column {target!r} is categorical; {op} needs a numeric one")
+        data = data.astype(float)
         if op == "sum":
             values = np.bincount(inverse, weights=data, minlength=len(uniq))
         elif op == "mean":
@@ -574,27 +631,26 @@ def _direction(name: str) -> int:
     return 0
 
 
-def run_metrics(run_dir, reingest: bool = False) -> tuple[dict, Store]:
-    """Flat metric map of one run dir: exported registry + derived analyses."""
-    store = ensure_store(run_dir, reingest=reingest)
+def run_metrics(run_dir) -> tuple[dict, RunData]:
+    """Flat metric map of one run dir: merged registry + derived analyses."""
+    run = load_run(run_dir)
     out: dict[str, float] = {}
-    if "metrics" in store.tables():
-        names = store.decoded("metrics", "name")
-        kinds = store.decoded("metrics", "kind")
-        values = store.column("metrics", "value")
-        for name, kind, value in zip(names, kinds, values):
+    if "metrics" in run.tables:
+        metrics = run.tables["metrics"]
+        for name, kind, value in zip(metrics["name"], metrics["kind"],
+                                     metrics["value"]):
             key = f"{name}.mean" if kind == "histogram" else str(name)
             out[key] = float(value)
-    funnel = lifecycle_funnel(store)
+    funnel = lifecycle_funnel(run.provenance)
     out["analysis.funnel.commit_share"] = funnel["commit_share"]
     out["analysis.funnel.latency.p50"] = funnel["latency"]["p50"]
     out["analysis.funnel.latency.p95"] = funnel["latency"]["p95"]
-    pp = ping_pong(store)
+    pp = ping_pong(run.provenance)
     out["analysis.pingpong.pages"] = float(pp["page_count"])
-    closed, _ = dwell_samples(store)
+    closed, _ = dwell_samples(run.provenance)
     for tier, samples in sorted(closed.items()):
         out[f"analysis.dwell.tier{tier}.mean"] = float(samples.mean())
-    return out, store
+    return out, run
 
 
 def _compare(name: str, va: float, vb: float, tol: float,
@@ -618,20 +674,20 @@ def _compare(name: str, va: float, vb: float, tol: float,
     return entry
 
 
-def diff_runs(a, b, tol: float = 0.01, reingest: bool = False) -> dict:
+def diff_runs(a, b, tol: float = 0.01) -> dict:
     """Metric-by-metric comparison of two runs (or sweep cells).
 
     Scalar registry metrics get relative-delta verdicts; dwell means —
-    the metrics with full sample distributions in the store — also get a
+    the metrics with full sample distributions in the stream — also get a
     bootstrap 95% CI of the mean difference (B−A), and a CI containing
     zero downgrades the verdict to ``unchanged``.
     """
     from repro.bench.stats import bootstrap_diff_ci
 
-    ma, store_a = run_metrics(a, reingest=reingest)
-    mb, store_b = run_metrics(b, reingest=reingest)
-    dwell_a, _ = dwell_samples(store_a)
-    dwell_b, _ = dwell_samples(store_b)
+    ma, run_a = run_metrics(a)
+    mb, run_b = run_metrics(b)
+    dwell_a, _ = dwell_samples(run_a.provenance)
+    dwell_b, _ = dwell_samples(run_b.provenance)
     metrics: list[dict] = []
     for name in sorted(set(ma) & set(mb)):
         ci = None
@@ -823,19 +879,26 @@ def render_diff_html(diff: dict, title: str = "repro diff") -> str:
 
 
 __all__ = [
+    "EVENT_FIELD_COLUMNS",
+    "HOST_EVENT_PREFIXES",
+    "HOST_METRIC_PREFIXES",
+    "HOST_METRIC_SUBSTRINGS",
     "REPORT_VERSION",
+    "RunData",
+    "TABLE_SCHEMAS",
+    "canonical_provenance",
     "diff_bench",
     "diff_runs",
     "dwell_samples",
     "dwell_time",
-    "ensure_store",
-    "ingest_run",
     "lifecycle_funnel",
+    "load_run",
     "ping_pong",
     "query_table",
     "render_diff_html",
     "render_diff_text",
     "run_metrics",
-    "store_summary",
+    "run_summary",
+    "sim_fingerprint",
     "top_pages",
 ]

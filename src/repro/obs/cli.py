@@ -4,7 +4,8 @@
 provenance history of the region(s) covering a page — every lifecycle
 transition with interval, tiers, policy reason, score, attempt — plus
 the plan→commit queue latency.  ``python -m repro report --obs --run
-DIR`` prints the merged metrics table and event counts of a run.
+DIR`` prints the merged metrics table, event counts and ping-pong
+summary of a run.
 
 Both commands read only the ``stream.ndjson`` (or ``.gz``) that
 ``--obs``/``--obs-stream`` left in ``--obs-out`` — finished, or cut
@@ -214,25 +215,6 @@ def service_report(state_dir) -> str:
     return "\n".join(lines)
 
 
-def _pingpong_summary(run_dir: Path) -> dict | None:
-    """Ping-pong report from an already-ingested analytics store.
-
-    Only folds when ``analytics.npz`` exists — ``repro report`` must
-    stay read-only; building the store is ``repro query``'s job.
-    """
-    from repro.obs.analytics import ping_pong
-    from repro.obs.store import STORE_NAME, Store
-
-    store_path = run_dir / STORE_NAME
-    if not store_path.exists():
-        return None
-    try:
-        with Store(store_path) as store:
-            return ping_pong(store)
-    except ConfigError:
-        return None
-
-
 def obs_report(run_dir, as_json: bool = False):
     """Metrics + event-count report for one run directory.
 
@@ -240,9 +222,10 @@ def obs_report(run_dir, as_json: bool = False):
     :func:`service_report` so ``repro report --run STATE_DIR`` folds
     the fleet counters and alert history instead.  With ``as_json``
     the same content returns as a machine-readable dict (scriptable
-    ``repro report --json``); when the directory holds an analytics
-    store, the ping-pong summary is folded into both forms.
+    ``repro report --json``).  Both forms carry the ping-pong summary of
+    the folded provenance.
     """
+    from repro.obs.analytics import ping_pong
     from repro.obs.stream import read_stream
     from repro.service.journal import JOURNAL_NAME
 
@@ -257,12 +240,10 @@ def obs_report(run_dir, as_json: bool = False):
                     "alerts": journal.alerts()}
         return service_report(run_dir)
     fold = read_stream(run_dir)
-    pingpong = _pingpong_summary(run_dir)
+    pingpong = ping_pong(fold.provenance)
     if as_json:
-        out = {"kind": "run", "run": str(run_dir), **fold.report()}
-        if pingpong is not None:
-            out["pingpong"] = pingpong
-        return out
+        return {"kind": "run", "run": str(run_dir), **fold.report(),
+                "pingpong": pingpong}
     lines: list[str] = []
 
     table = Table(f"Events ({fold.label or run_dir})", ["event", "count"])
@@ -272,16 +253,15 @@ def obs_report(run_dir, as_json: bool = False):
     if fold.dropped_events:
         lines.append(f"dropped events: {fold.dropped_events}")
     lines.append(fold.registry.table().render())
-    if pingpong is not None:
-        params = pingpong["params"]
-        lines.append(
-            f"ping-pong: {pingpong['page_count']} page(s) with >= "
-            f"{params['min_round_trips']} round trips within "
-            f"{params['window']} intervals, "
-            f"{len(pingpong['deny_ranges'])} deny range(s) "
-            f"(full report: `repro query --run {run_dir} "
-            f"--analysis ping-pong`)"
-        )
+    params = pingpong["params"]
+    lines.append(
+        f"ping-pong: {pingpong['page_count']} page(s) with >= "
+        f"{params['min_round_trips']} round trips within "
+        f"{params['window']} intervals, "
+        f"{len(pingpong['deny_ranges'])} deny range(s) "
+        f"(full report: `repro query --run {run_dir} "
+        f"--analysis ping-pong`)"
+    )
     return "\n".join(lines)
 
 

@@ -657,12 +657,8 @@ def iter_ndjson(path, follow: bool = False, poll_interval: float = 0.1,
                 chunk = ""
             if chunk:
                 last_data = deadline_clock()
-                buffer += chunk
-                while True:
-                    newline = buffer.find("\n")
-                    if newline < 0:
-                        break
-                    line, buffer = buffer[:newline], buffer[newline + 1:]
+                *lines, buffer = (buffer + chunk).split("\n")
+                for line in lines:
                     line = line.strip()
                     if not line:
                         continue

@@ -1024,12 +1024,8 @@ class SocketCollector:
                 break
             if not chunk:
                 break
-            buffer += chunk
-            while True:
-                newline = buffer.find(b"\n")
-                if newline < 0:
-                    break
-                line, buffer = buffer[:newline], buffer[newline + 1:]
+            *lines, buffer = (buffer + chunk).split(b"\n")
+            for line in lines:
                 try:
                     record = self._json.loads(line)
                 except ValueError:

@@ -178,7 +178,7 @@ class Journal:
 
     def records(self):
         """Decoded journal records in append order (tolerant of torn
-        lines, like :meth:`replay`); the analytics ingest's view."""
+        lines, like :meth:`replay`); the analytics loader's view."""
         if not self.path.exists():
             return
         with open(self.path, "r", encoding="utf-8") as fh:

@@ -1,10 +1,11 @@
-"""Offline analytics engine: store determinism, analyses, diff, history.
+"""Offline analytics engine: loader, analyses, diff, history.
 
 The analytics layer must be a pure *reader* of observability artifacts:
-ingest is deterministic (same export → byte-identical store, any worker
-count → same simulated content), the built-in analyses are exact
-functions of the provenance stream, and the differential layer's
-verdicts follow the declared metric directions.  Everything here runs
+loading is deterministic (any worker count or compression → same
+simulated content), querying writes nothing and always answers for the
+stream as it is now, the built-in analyses are exact functions of the
+provenance stream, and the differential layer's verdicts follow the
+declared metric directions.  Everything here runs
 on tiny real runs (the same sizing as ``test_obs_identity``) plus
 hand-built provenance logs with known answers.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import gzip
 import json
 
-import numpy as np
 import pytest
 
 from repro.bench.runner import run_matrix
@@ -27,25 +27,18 @@ from repro.obs.analytics import (
     diff_runs,
     dwell_samples,
     dwell_time,
-    ingest_run,
     lifecycle_funnel,
+    load_run,
     ping_pong,
     query_table,
     render_diff_html,
     render_diff_text,
+    sim_fingerprint,
     top_pages,
 )
 from repro.obs.context import ObsContext
 from repro.obs.provenance import ProvenanceLog
-from repro.obs.store import (
-    STORE_NAME,
-    Store,
-    TableBuilder,
-    sim_fingerprint,
-    validate_store,
-    write_store,
-)
-from repro.obs.stream import iter_ndjson
+from repro.obs.stream import iter_ndjson, read_stream
 from repro.bench.history import (
     HISTORY_NAME,
     append_record,
@@ -103,70 +96,21 @@ def run_b(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def store_a(run_a):
-    with Store(ingest_run(run_a)) as store:
-        yield store
-
-
-# -- columnar store ------------------------------------------------------------
-
-
-class TestStore:
-    def test_round_trip_and_lazy_read(self, tmp_path):
-        b = TableBuilder("provenance")
-        b.add(interval=1, page_start=0, npages=4, src_node=2, dst_node=0,
-              attempt=0, score=2.5, stage="planned", reason="promotion")
-        b.add(interval=2, page_start=0, npages=4, src_node=2, dst_node=0,
-              attempt=0, score=None, stage="committed", reason="promotion")
-        path = write_store(tmp_path / STORE_NAME, {"provenance": b.freeze()},
-                           meta={"intervals": 3})
-        with Store(path) as store:
-            assert store.tables() == ["provenance"]
-            assert store.rows("provenance") == 2
-            assert store.is_categorical("provenance", "stage")
-            assert store.decoded("provenance", "stage").tolist() == [
-                "planned", "committed"]
-            assert store.column("provenance", "interval").tolist() == [1, 2]
-            assert np.isnan(store.column("provenance", "score")[1])
-            assert store.meta["intervals"] == 3
-
-    def test_write_is_deterministic(self, tmp_path):
-        def build():
-            b = TableBuilder("metrics")
-            b.add(name="x", kind="counter", value=1.0)
-            return {"metrics": b.freeze()}
-
-        p1 = write_store(tmp_path / "a.npz", build(), meta={"k": 1})
-        p2 = write_store(tmp_path / "b.npz", build(), meta={"k": 1})
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_validator_catches_corruption(self, tmp_path):
-        b = TableBuilder("provenance")
-        b.add(interval=0, page_start=0, npages=1, src_node=2, dst_node=0,
-              attempt=0, score=1.0, stage="planned", reason="")
-        frozen = b.freeze()
-        path = write_store(tmp_path / STORE_NAME, {"provenance": frozen})
-        assert validate_store(path) == []
-        # out-of-range categorical code must be reported
-        frozen["columns"]["stage"] = np.array([99], dtype=np.int32)
-        bad = write_store(tmp_path / "bad.npz", {"provenance": frozen})
-        assert any("code" in p or "range" in p for p in validate_store(bad))
+def loaded_a(run_a):
+    """Run A read back through the loader."""
+    return load_run(run_a)
 
 
 class TestIngest:
-    def test_ingest_is_byte_idempotent(self, run_a, tmp_path):
-        p1 = ingest_run(run_a, store_path=tmp_path / "one.npz")
-        p2 = ingest_run(run_a, store_path=tmp_path / "two.npz")
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_store_validates_clean(self, run_a):
-        assert validate_store(ingest_run(run_a)) == []
-
-    def test_store_has_all_tables(self, store_a):
+    def test_store_has_all_tables(self, loaded_a):
         assert {"events", "metrics", "provenance", "spans"} <= set(
-            store_a.tables())
-        assert store_a.rows("provenance") > 0
-        assert store_a.meta["intervals"] == RUN_INTERVALS
+            loaded_a.tables)
+        assert loaded_a.rows("provenance") > 0
+        assert loaded_a.meta["intervals"] == RUN_INTERVALS
+        # provenance comes back in canonical order, table and log alike
+        intervals = loaded_a.column("provenance", "interval").tolist()
+        assert intervals == sorted(intervals)
+        assert intervals == [r.interval for r in loaded_a.provenance.records]
 
     def test_pooled_matrix_ingests_identically(self, tiny_profile, tmp_path):
         """workers=K must be invisible to the analytics layer."""
@@ -177,18 +121,18 @@ class TestIngest:
                        obs=obs)
             out = tmp_path / f"w{workers}"
             obs.export(out)
-            with Store(ingest_run(out)) as store:
-                prints.append(sim_fingerprint(store))
-                assert store.rows("spans") > 0
-                # gauges merge as the maximum over tracks
-                names = store.decoded("metrics", "name").tolist()
-                value = store.column("metrics", "value")[
-                    names.index("profile.regions{profiler=mtm}")]
-                key = ("profile.regions", (("profiler", "mtm"),))
-                per_track = [t.gauges[key] for t in obs.tracks
-                             if key in t.gauges]
-                assert len(per_track) == 2
-                assert value == max(per_track)
+            run = load_run(out)
+            prints.append(sim_fingerprint(run))
+            assert run.rows("spans") > 0
+            # gauges merge as the maximum over tracks
+            names = run.column("metrics", "name").tolist()
+            value = run.column("metrics", "value")[
+                names.index("profile.regions{profiler=mtm}")]
+            key = ("profile.regions", (("profiler", "mtm"),))
+            per_track = [t.gauges[key] for t in obs.tracks
+                         if key in t.gauges]
+            assert len(per_track) == 2
+            assert value == max(per_track)
         assert prints[0] == prints[1]
 
     def test_compressed_export_ingests_identically(self, run_a, tmp_path):
@@ -198,9 +142,73 @@ class TestIngest:
                                                       "trace.json"}
         with gzip.open(gz_dir / "stream.ndjson.gz", "rt") as fh:
             assert json.loads(fh.readline())["type"] == "meta"
-        with Store(ingest_run(run_a)) as plain, \
-                Store(ingest_run(gz_dir)) as zipped:
-            assert sim_fingerprint(plain) == sim_fingerprint(zipped)
+        assert (sim_fingerprint(load_run(run_a))
+                == sim_fingerprint(load_run(gz_dir)))
+
+
+# -- the CLI reads the stream as it is now -------------------------------------
+
+
+def _cli_json(capsys, *argv) -> dict:
+    from repro.cli import main
+
+    capsys.readouterr()
+    main(list(argv))
+    return json.loads(capsys.readouterr().out)
+
+
+def _cli_run(out_dir, solution: str) -> None:
+    from repro.cli import main
+
+    assert main(["run", "--solution", solution, "--workload", "gups",
+                 "--intervals", "8", "--scale-denominator", "512",
+                 "--obs", "--obs-out", str(out_dir)]) == 0
+
+
+class TestCliReadsTheStream:
+    def test_rerun_into_the_same_dir_is_seen(self, tmp_path, capsys):
+        """A query caches nothing: a second run into the same directory
+        is what query, diff and report answer for."""
+        import shutil
+
+        run_dir, mtm_dir = tmp_path / "d", tmp_path / "d-mtm"
+        _cli_run(run_dir, "mtm")
+        funnel = _cli_json(capsys, "query", "--run", str(run_dir),
+                           "--analysis", "funnel", "--json")
+        assert funnel["stages"]["committed"] > 0
+        shutil.copytree(run_dir, mtm_dir)
+
+        _cli_run(run_dir, "first-touch")
+        listing = sorted(p.name for p in run_dir.iterdir())
+        funnel = _cli_json(capsys, "query", "--run", str(run_dir),
+                           "--analysis", "funnel", "--json")
+        assert "planned" not in funnel["stages"]
+        assert "committed" not in funnel["stages"]
+
+        diff = _cli_json(capsys, "diff", str(mtm_dir), str(run_dir), "--json")
+        rows = {row["metric"]: row for row in diff["metrics"]}
+        share = rows["analysis.funnel.commit_share"]
+        assert (share["a"], share["b"]) == (1.0, 0.0)
+        assert diff["summary"]["unchanged"] < len(diff["metrics"])
+
+        report = _cli_json(capsys, "report", "--run", str(run_dir), "--json")
+        fold = read_stream(run_dir)
+        assert report["counters"] == fold.registry.as_dict()["counters"]
+        assert report["pingpong"] == ping_pong(fold.provenance)
+        # querying is read-only
+        assert sorted(p.name for p in run_dir.iterdir()) == listing
+
+    def test_report_carries_pingpong_without_a_query(self, tmp_path, capsys):
+        from repro.cli import main
+
+        _cli_run(tmp_path, "mtm")
+        report = _cli_json(capsys, "report", "--run", str(tmp_path), "--json")
+        expected = _cli_json(capsys, "query", "--run", str(tmp_path),
+                             "--analysis", "ping-pong", "--json")
+        assert report["pingpong"] == expected
+        assert main(["report", "--run", str(tmp_path)]) == 0
+        assert (f"ping-pong: {expected['page_count']} page(s)"
+                in capsys.readouterr().out)
 
 
 # -- built-in analyses ---------------------------------------------------------
@@ -240,10 +248,10 @@ class TestDwell:
         closed_all, _ = dwell_samples(log)
         assert closed_all[2].tolist() == [4] * 4
 
-    def test_real_store_has_samples(self, store_a):
+    def test_real_store_has_samples(self, loaded_a):
         # a 6-interval run may migrate each page only once: closed
         # dwells can be empty, but migrated pages must show open ones
-        report = dwell_time(store_a)
+        report = dwell_time(loaded_a.provenance)
         assert report["tiers"]
         assert sum(t["closed_count"] + t["open_count"]
                    for t in report["tiers"].values()) > 0
@@ -263,15 +271,15 @@ class TestTopPages:
         assert pages[0]["score"] == 2.0
         assert pages[4]["share"] == pytest.approx(1.0 / 5.0)
 
-    def test_real_store_top_pages(self, store_a):
-        report = top_pages(store_a, k=5)
+    def test_real_store_top_pages(self, loaded_a):
+        report = top_pages(loaded_a.provenance, k=5)
         assert len(report["pages"]) <= 5
         assert report["total_score"] > 0
 
 
 class TestFunnel:
     def test_same_interval_plan_commit_matches(self):
-        """Canonical store order sorts 'committed' before 'planned';
+        """Canonical provenance order sorts 'committed' before 'planned';
         the funnel must still match same-interval pairs causally."""
         log = _log([
             (3, "committed", 0, 4, 2, 0),
@@ -293,8 +301,8 @@ class TestFunnel:
         assert report["latency"]["mean"] == 3.0
         assert report["commit_share"] == 0.5
 
-    def test_real_store_funnel_consistent(self, store_a):
-        report = lifecycle_funnel(store_a)
+    def test_real_store_funnel_consistent(self, loaded_a):
+        report = lifecycle_funnel(loaded_a.provenance)
         committed = report["stages"].get("committed", 0)
         assert report["occurrences"] == committed
         assert committed > 0
@@ -326,20 +334,20 @@ class TestPingPong:
 
 
 class TestQueryTable:
-    def test_filter_group_agg(self, store_a):
-        report = query_table(store_a, "provenance", where=["stage=committed"],
+    def test_filter_group_agg(self, loaded_a):
+        report = query_table(loaded_a, "provenance", where=["stage=committed"],
                              group="dst_node", agg="count")
         assert report["matched"] > 0
         assert sum(v for _, v in report["rows"]) == report["matched"]
 
-    def test_numeric_filter_and_rows(self, store_a):
-        report = query_table(store_a, "events", where=["interval<2"], limit=5)
+    def test_numeric_filter_and_rows(self, loaded_a):
+        report = query_table(loaded_a, "events", where=["interval<2"], limit=5)
         assert report["matched"] > 0
         assert all(row["interval"] < 2 for row in report["rows"])
 
-    def test_bad_where_clause_raises(self, store_a):
+    def test_bad_where_clause_raises(self, loaded_a):
         with pytest.raises(ConfigError):
-            query_table(store_a, "events", where=["nonsense"])
+            query_table(loaded_a, "events", where=["nonsense"])
 
 
 # -- differential layer --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Golden obs pins: the telemetry a run leaves on disk, read back.
 
 ``tests/golden/obs_pins.json`` pins, for five runs, the
-:func:`~repro.obs.store.sim_fingerprint` of the analytics store ingested
-from the run's ``--obs-out`` directory and the simulation-domain content
+:func:`~repro.obs.analytics.sim_fingerprint` of the query tables that
+:func:`~repro.obs.analytics.load_run` folds from the run's ``--obs-out``
+directory and the simulation-domain content
 of its merged metrics (counters, gauges, histograms, event counts; the
 host-side ``perf.``/``cache.``/``obs.`` series and ``host_seconds``
 readings are left out):
@@ -30,15 +31,14 @@ from repro.bench.runner import SweepVariant, run_matrix, run_sweep
 from repro.bench.scaling import BenchProfile
 from repro.core.baselines import make_engine
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.obs.analytics import ingest_run
-from repro.obs.context import ObsConfig, ObsContext
-from repro.obs.sinks import NdjsonFileSink
-from repro.obs.store import (
+from repro.obs.analytics import (
     HOST_METRIC_PREFIXES,
     HOST_METRIC_SUBSTRINGS,
-    Store,
+    load_run,
     sim_fingerprint,
 )
+from repro.obs.context import ObsConfig, ObsContext
+from repro.obs.sinks import NdjsonFileSink
 from repro.obs.stream import read_stream
 
 PINS_PATH = Path(__file__).parent / "golden" / "obs_pins.json"
@@ -120,8 +120,7 @@ def load_pins() -> dict:
 
 def _check(out: Path, key: str) -> None:
     pin = load_pins()[key]
-    with Store(ingest_run(out)) as store:
-        assert sim_fingerprint(store) == pin["sim_fingerprint"]
+    assert sim_fingerprint(load_run(out)) == pin["sim_fingerprint"]
     got = sim_domain(read_stream(out).report())
     for section in ("counters", "gauges", "histograms", "event_counts"):
         assert got[section] == pin[section], section

@@ -153,6 +153,22 @@ class TestIterNdjson:
         writer.join()
         assert [r["type"] for r in got] == ["meta", "event", "end"]
 
+    def test_follow_joins_a_line_split_across_writes(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        path.write_text('{"type": "meta"}\n{"type": "ev')
+
+        def append():
+            time.sleep(0.15)
+            with open(path, "a") as fh:
+                fh.write('ent"}\n{"type": "end"}\n')
+
+        writer = threading.Thread(target=append)
+        writer.start()
+        got = list(iter_ndjson(path, follow=True, poll_interval=0.02,
+                               timeout=5.0))
+        writer.join()
+        assert [r["type"] for r in got] == ["meta", "event", "end"]
+
     def test_follow_times_out_without_data(self, tmp_path):
         path = tmp_path / "s.ndjson"
         path.write_text('{"type": "meta"}\n')
@@ -790,10 +806,15 @@ class TestSocketCollectorConcurrency:
             bad.close()  # RST
             for i, sock in enumerate((good_a, good_b)):
                 for interval in range(3):
-                    sock.sendall((json.dumps(
+                    line = (json.dumps(
                         {"type": "event", "name": "interval.end",
                          "interval": interval, "track": "ab"[i]},
-                    ) + "\n").encode())
+                    ) + "\n").encode()
+                    if i == 0:  # publisher a splits each line across sends
+                        sock.sendall(line[:10])
+                        time.sleep(0.02)
+                        line = line[10:]
+                    sock.sendall(line)
                 sock.close()
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:
