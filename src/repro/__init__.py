@@ -18,34 +18,45 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.core.manager import MtmManager, MtmSystemConfig
-from repro.core.api import move_memory_regions
-from repro.core.baselines import SOLUTIONS, make_engine, solution_names
-from repro.hw.topology import cxl_topology, optane_2tier, optane_4tier, uniform_topology
-from repro.sim.costmodel import CostModel, CostParams, effective_interval
-from repro.sim.engine import SimulationEngine, SimulationResult
-from repro.workloads.registry import WORKLOAD_SPECS, build_workload, workload_names
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MtmManager",
-    "MtmSystemConfig",
-    "move_memory_regions",
-    "SOLUTIONS",
-    "make_engine",
-    "solution_names",
-    "optane_2tier",
-    "optane_4tier",
-    "cxl_topology",
-    "uniform_topology",
-    "CostModel",
-    "CostParams",
-    "effective_interval",
-    "SimulationEngine",
-    "SimulationResult",
-    "WORKLOAD_SPECS",
-    "build_workload",
-    "workload_names",
-    "__version__",
-]
+#: Public name -> defining module.  Imported on first attribute access
+#: (PEP 562), so ``import repro.obs.watch`` or a read-only CLI verb does
+#: not pay for the simulator.
+_EXPORTS = {
+    "MtmManager": "repro.core.manager",
+    "MtmSystemConfig": "repro.core.manager",
+    "move_memory_regions": "repro.core.api",
+    "SOLUTIONS": "repro.core.baselines",
+    "make_engine": "repro.core.baselines",
+    "solution_names": "repro.core.baselines",
+    "optane_2tier": "repro.hw.topology",
+    "optane_4tier": "repro.hw.topology",
+    "cxl_topology": "repro.hw.topology",
+    "uniform_topology": "repro.hw.topology",
+    "CostModel": "repro.sim.costmodel",
+    "CostParams": "repro.sim.costmodel",
+    "effective_interval": "repro.sim.costmodel",
+    "SimulationEngine": "repro.sim.engine",
+    "SimulationResult": "repro.sim.engine",
+    "WORKLOAD_SPECS": "repro.workloads.registry",
+    "build_workload": "repro.workloads.registry",
+    "workload_names": "repro.workloads.registry",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

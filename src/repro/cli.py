@@ -49,17 +49,33 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.baselines import make_engine, solution_names
 from repro.errors import ReproError
-from repro.metrics.breakdown import TimeBreakdown
 from repro.metrics.report import Table, normalize
 from repro.units import format_bytes, format_time
-from repro.workloads.registry import WORKLOAD_SPECS, workload_names
 
 DEFAULT_SCALE_DENOM = 256
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose ``deferred`` option setup runs on its first parse.
+
+    ``run`` and ``compare`` offer the simulator's solution and workload
+    names as choices; deferring those options keeps every other verb
+    from importing the simulator just to build the argparse tree.
+    """
+
+    deferred = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.deferred is not None:
+            setup, self.deferred = self.deferred, None
+            setup(self)
+        return super().parse_known_args(args, namespace)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    from repro.workloads.registry import workload_names
+
     parser.add_argument(
         "--workload", default="gups", choices=workload_names(),
         help="workload from Table 2 (default: gups)",
@@ -124,22 +140,17 @@ def _make_injector(args: argparse.Namespace):
     return FaultInjector(FaultConfig.uniform(args.faults), seed=args.fault_seed)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree for ``python -m repro``."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="MTM (EuroSys'24) multi-tiered memory simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_run_options(run: argparse.ArgumentParser) -> None:
+    from repro.core.baselines import solution_names
 
-    run = sub.add_parser("run", help="simulate one solution on one workload")
     run.add_argument(
         "--solution", default="mtm", choices=solution_names(),
         help="page-management solution (default: mtm)",
     )
     _add_common(run)
 
-    compare = sub.add_parser("compare", help="compare solutions on one workload")
+
+def _add_compare_options(compare: argparse.ArgumentParser) -> None:
     compare.add_argument(
         "--solutions",
         default="first-touch,tiered-autonuma,mtm",
@@ -151,6 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
              "results are identical for any K)",
     )
     _add_common(compare)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree for ``python -m repro``."""
+    parser = _Parser(
+        prog="repro",
+        description="MTM (EuroSys'24) multi-tiered memory simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("run", help="simulate one solution on one workload"
+                   ).deferred = _add_run_options
+    sub.add_parser("compare", help="compare solutions on one workload"
+                   ).deferred = _add_compare_options
 
     sub.add_parser("list", help="list solutions and workloads")
 
@@ -232,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--run", required=True, metavar="DIR",
         help="observability export directory (an earlier run's --obs-out)",
-    )
-    report.add_argument(
-        "--obs", action="store_true", default=True,
-        help="include the observability summary (default; reserved for "
-             "future report sections)",
     )
     report.add_argument(
         "--json", action="store_true",
@@ -671,6 +691,9 @@ def _export_obs(ctx, args: argparse.Namespace) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``run``: simulate one solution and print its summary."""
+    from repro.core.baselines import make_engine
+    from repro.metrics.breakdown import TimeBreakdown
+
     scale = 1.0 / args.scale_denominator
     obs = _make_obs(args)
     try:
@@ -1128,6 +1151,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 def cmd_list(_args: argparse.Namespace) -> int:
     """``list``: print the available solutions and workloads."""
     from repro.core.baselines import SOLUTIONS
+    from repro.workloads.registry import WORKLOAD_SPECS
 
     table = Table("Solutions", ["name", "description"])
     for spec in SOLUTIONS.values():

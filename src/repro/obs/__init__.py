@@ -17,8 +17,8 @@ Plus the stream, the one on-disk telemetry artifact (DESIGN.md
 * :mod:`repro.obs.export` — writes a buffered context as that stream
   plus the derived ``trace.json``;
 * :mod:`repro.obs.sinks` — append-only file, socket, and mp-queue sinks;
-* :mod:`repro.obs.watch` — live aggregator and the ``repro watch``
-  dashboard.
+* :mod:`repro.obs.watch` — the ``repro watch`` and ``repro fleet``
+  dashboards, summary views over a live fold of the stream.
 
 :class:`~repro.obs.context.ObsContext` bundles them; the stack is
 instrumented against ``obs: ObsContext | None`` and emits nothing when

@@ -207,8 +207,7 @@ def load_run(run_dir) -> RunData:
     makes every table independent of how a pooled run interleaved its
     cells.
     """
-    from repro.obs.stream import read_stream, stream_file
-    from repro.service.journal import JOURNAL_NAME
+    from repro.obs.stream import JOURNAL_NAME, read_stream, stream_file
 
     run_dir = Path(run_dir)
     if not run_dir.is_dir():

@@ -3,8 +3,8 @@
 ``python -m repro trace --run DIR --page N`` prints the migration
 provenance history of the region(s) covering a page — every lifecycle
 transition with interval, tiers, policy reason, score, attempt — plus
-the plan→commit queue latency.  ``python -m repro report --obs --run
-DIR`` prints the merged metrics table, event counts and ping-pong
+the plan→commit queue latency.  ``python -m repro report --run DIR``
+prints the merged metrics table, event counts and ping-pong
 summary of a run.
 
 Both commands read only the ``stream.ndjson`` (or ``.gz``) that
@@ -178,23 +178,21 @@ def trace_job_report(path) -> str:
 def service_report(state_dir) -> str:
     """Fleet report for a scheduler state directory.
 
-    Folds the ``service.*`` stream (when the daemon ran with
-    ``--obs-stream``) through the fleet aggregate and appends the
+    Summarizes the stream's fold (when the daemon ran with
+    ``--obs-stream``) as a ``repro fleet`` frame and appends the
     journal's alert history — the post-hoc twin of ``repro fleet``.
     """
-    from repro.obs.stream import iter_ndjson, stream_file
-    from repro.obs.watch import FleetAggregate, render_fleet_text
-    from repro.service.journal import JOURNAL_NAME, Journal
+    from repro.obs.stream import JOURNAL_NAME, read_stream, stream_file
+    from repro.obs.watch import fleet_summary, render_fleet_text
 
     state_dir = Path(state_dir)
     lines: list[str] = []
     stream = stream_file(state_dir)
     if stream.exists():
-        agg = FleetAggregate()
-        for record in iter_ndjson(stream):
-            agg.feed(record)
-        lines.append(render_fleet_text(agg))
+        lines.append(render_fleet_text(fleet_summary(read_stream(stream))))
     if (state_dir / JOURNAL_NAME).exists():
+        from repro.service.journal import Journal
+
         journal = Journal(state_dir)
         alerts = journal.alerts()
         table = Table(f"Alert history ({state_dir})",
@@ -226,8 +224,7 @@ def obs_report(run_dir, as_json: bool = False):
     the folded provenance.
     """
     from repro.obs.analytics import ping_pong
-    from repro.obs.stream import read_stream
-    from repro.service.journal import JOURNAL_NAME
+    from repro.obs.stream import JOURNAL_NAME, read_stream
 
     run_dir = Path(run_dir)
     if (run_dir / JOURNAL_NAME).exists():
@@ -252,6 +249,8 @@ def obs_report(run_dir, as_json: bool = False):
     lines.append(table.render())
     if fold.dropped_events:
         lines.append(f"dropped events: {fold.dropped_events}")
+    if fold.problems():
+        lines.append(fold.problems())
     lines.append(fold.registry.table().render())
     params = pingpong["params"]
     lines.append(

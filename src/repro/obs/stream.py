@@ -37,14 +37,17 @@ cumulative summary (idempotent for a late-joining reader).  A track's
 close always carries the ``obs.dropped_events`` and
 ``obs.relay_backpressure`` counters, zero included.
 
-:func:`fold_records` is the one reader: it groups records by track and
-merges tracks with the registry's rules (counters sum; gauges take each
-track's last value, then the maximum; histograms take each track's last
-summary, then :meth:`HistogramStat.merge
+:class:`StreamFold` is the one reader: :meth:`StreamFold.feed` groups
+records by track one at a time, and the merged views combine tracks
+with the registry's rules (counters sum; gauges take each track's last
+value, then the maximum; histograms take each track's last summary,
+then :meth:`HistogramStat.merge
 <repro.obs.registry.HistogramStat.merge>`), visiting tracks in name
 order so the result does not depend on how a pooled run interleaved
 them.  ``repro query``/``report``/``trace`` and the Perfetto
-``trace.json`` all read through it.
+``trace.json`` read a finished stream through :func:`fold_records`;
+``repro watch`` and ``repro fleet`` feed a live fold and summarize it
+each refresh (:mod:`repro.obs.watch`).
 
 :func:`iter_ndjson` decodes the file: it tolerates a truncated final
 line (a crash mid-``writelines`` loses at most that line — the partial
@@ -76,6 +79,10 @@ from repro.obs.spans import Span
 #: File name of the stream inside an ``--obs-out`` or state directory
 #: (``.gz`` appended when compressed).
 STREAM_NAME = "stream.ndjson"
+
+#: File name of a sweep-service journal inside a state directory
+#: (written by :mod:`repro.service.journal`; readers only test for it).
+JOURNAL_NAME = "journal.ndjson"
 
 #: Track name of a context without a label.
 DEFAULT_TRACK = "main"
@@ -439,31 +446,121 @@ class StreamPublisher:
 
 
 class StreamFold:
-    """A stream read back: one :class:`~repro.obs.context.ObsData` per
-    track (lists in emission order, counter deltas summed, last gauge,
-    last histogram summary) plus the merged views.
+    """A stream read back, one record at a time — the one reader.
+
+    :meth:`feed` files each record under its track (a record without a
+    string ``track`` under ``""``): one
+    :class:`~repro.obs.context.ObsData` per track, lists in emission
+    order, counter deltas summed, last gauge, last histogram summary.
+    It also counts what the dashboards show: ``records`` (decoded
+    objects), ``invalid`` (non-objects and unknown ``type``s, which are
+    otherwise dropped), ``schema_mismatch`` (``meta`` records of another
+    schema version) and ``ended`` (tracks that wrote ``end``, in order).
 
     ``label`` is the top-level track (the one that wrote ``end``; the
     first track seen when the stream never ended).  ``registry``,
     ``provenance``, ``events`` and ``spans`` merge the tracks in name
-    order; ``events`` and ``spans`` are ``(track, item)`` pairs, each
-    track in its own emission order.
+    order, built on first use after a feed; ``events`` and ``spans`` are
+    ``(track, item)`` pairs, each track in its own emission order.
     """
 
-    def __init__(self, tracks: dict, label: str | None) -> None:
-        self.tracks: dict[str, ObsData] = tracks
-        self.label = label
-        self.registry = MetricsRegistry()
-        self.provenance = ProvenanceLog()
-        self.events: list[tuple[str, Event]] = []
-        self.spans: list[tuple[str, Span]] = []
-        for name in sorted(tracks):
-            data = tracks[name]
-            self.registry.merge_data(data.counters, data.gauges,
-                                     data.histograms)
-            self.provenance.extend(data.provenance)
-            self.events.extend((name, event) for event in data.events)
-            self.spans.extend((name, span) for span in data.spans)
+    def __init__(self) -> None:
+        self.tracks: dict[str, ObsData] = {}
+        self.ended: list[str] = []
+        self.records = 0
+        self.invalid = 0
+        self.schema_mismatch = 0
+        self._merged = None
+
+    def feed(self, record) -> None:
+        """Fold one decoded record in."""
+        if not isinstance(record, dict):
+            self.invalid += 1
+            return
+        self.records += 1
+        rtype = record.get("type")
+        if rtype not in RECORD_TYPES:
+            self.invalid += 1
+            return
+        track = record.get("track")
+        if not isinstance(track, str):
+            track = ""
+        data = self.tracks.get(track)
+        if data is None:
+            data = self.tracks[track] = ObsData(label=track)
+        self._merged = None
+        if rtype == "event":
+            data.events.append(Event(
+                str(record.get("name", "")), float(record.get("ts", 0.0)),
+                float(record.get("sim_time", 0.0)),
+                int(record.get("interval", -1)),
+                {k: v for k, v in record.items() if k not in _EVENT_KEYS}))
+        elif rtype == "span":
+            data.spans.append(Span(
+                str(record.get("name", "")), str(record.get("cat", "")),
+                float(record.get("ts", 0.0)), float(record.get("dur", 0.0)),
+                int(record.get("depth", 0)), dict(record.get("args") or {})))
+        elif rtype == "provenance":
+            data.provenance.append(_provenance(record))
+        elif rtype == "metric":
+            key = (str(record.get("name", "")),
+                   label_key(dict(record.get("labels") or ())))
+            kind = record.get("kind")
+            if kind == "counter":
+                data.counters[key] = (data.counters.get(key, 0)
+                                      + record.get("delta", 0))
+            elif kind == "gauge":
+                data.gauges[key] = record.get("value", 0)
+            elif kind == "histogram":
+                data.histograms[key] = _histogram(record)
+        elif rtype == "meta":
+            if record.get("v") != STREAM_SCHEMA_VERSION:
+                self.schema_mismatch += 1
+        else:  # end
+            self.ended.append(track)
+
+    @property
+    def label(self) -> str | None:
+        if self.ended:
+            return self.ended[-1]
+        return next(iter(self.tracks), None)
+
+    @property
+    def done(self) -> bool:
+        """True once some track wrote the ``end`` record."""
+        return bool(self.ended)
+
+    def _merge(self) -> tuple:
+        if self._merged is None:
+            registry = MetricsRegistry()
+            provenance = ProvenanceLog()
+            events: list[tuple[str, Event]] = []
+            spans: list[tuple[str, Span]] = []
+            for name in sorted(self.tracks):
+                data = self.tracks[name]
+                registry.merge_data(data.counters, data.gauges,
+                                    data.histograms)
+                provenance.extend(data.provenance)
+                events.extend((name, event) for event in data.events)
+                spans.extend((name, span) for span in data.spans)
+            self._merged = (registry, provenance, events, spans)
+        return self._merged
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        return self._merge()[0]
+
+    @property
+    def provenance(self) -> ProvenanceLog:
+        return self._merge()[1]
+
+    @property
+    def events(self) -> list[tuple[str, Event]]:
+        return self._merge()[2]
+
+    @property
+    def spans(self) -> list[tuple[str, Span]]:
+        return self._merge()[3]
 
     def event_counts(self) -> dict[str, int]:
         """Event counts by name across every track."""
@@ -477,11 +574,23 @@ class StreamFold:
         """Events lost to bounded buffers or the stream, every track."""
         return int(self.registry.counter_total("obs.dropped_events"))
 
+    def problems(self) -> str:
+        """The readers' stream-problems line; empty for a clean stream."""
+        if not (self.invalid or self.schema_mismatch):
+            return ""
+        return (f"stream problems: {self.invalid} invalid records, "
+                f"{self.schema_mismatch} schema mismatches")
+
     def report(self) -> dict:
-        """Merged metrics in the ``repro report --json`` shape."""
-        return {"label": self.label, "dropped_events": self.dropped_events,
-                "event_counts": self.event_counts(),
-                **self.registry.as_dict()}
+        """Merged metrics in the ``repro report --json`` shape (with
+        ``invalid_records``/``schema_mismatch`` when either is non-zero)."""
+        out = {"label": self.label, "dropped_events": self.dropped_events,
+               "event_counts": self.event_counts(),
+               **self.registry.as_dict()}
+        if self.problems():
+            out.update(invalid_records=self.invalid,
+                       schema_mismatch=self.schema_mismatch)
+        return out
 
 
 def _histogram(record: dict) -> HistogramStat:
@@ -512,47 +621,11 @@ _EVENT_KEYS = ("type", "track", "name", "ts", "sim_time", "interval")
 
 
 def fold_records(records) -> StreamFold:
-    """Group decoded records by track and merge them (see module doc)."""
-    tracks: dict[str, ObsData] = {}
-    label = None
+    """Fold decoded records (see module doc)."""
+    fold = StreamFold()
     for record in records:
-        if not isinstance(record, dict) or not isinstance(
-                record.get("track"), str):
-            continue
-        track = record["track"]
-        data = tracks.get(track)
-        if data is None:
-            data = tracks[track] = ObsData(label=track)
-        rtype = record.get("type")
-        if rtype == "event":
-            data.events.append(Event(
-                str(record.get("name", "")), float(record.get("ts", 0.0)),
-                float(record.get("sim_time", 0.0)),
-                int(record.get("interval", -1)),
-                {k: v for k, v in record.items() if k not in _EVENT_KEYS}))
-        elif rtype == "span":
-            data.spans.append(Span(
-                str(record.get("name", "")), str(record.get("cat", "")),
-                float(record.get("ts", 0.0)), float(record.get("dur", 0.0)),
-                int(record.get("depth", 0)), dict(record.get("args") or {})))
-        elif rtype == "provenance":
-            data.provenance.append(_provenance(record))
-        elif rtype == "metric":
-            key = (str(record.get("name", "")),
-                   label_key(dict(record.get("labels") or ())))
-            kind = record.get("kind")
-            if kind == "counter":
-                data.counters[key] = (data.counters.get(key, 0)
-                                      + record.get("delta", 0))
-            elif kind == "gauge":
-                data.gauges[key] = record.get("value", 0)
-            elif kind == "histogram":
-                data.histograms[key] = _histogram(record)
-        elif rtype == "end":
-            label = track
-    if label is None and tracks:
-        label = next(iter(tracks))
-    return StreamFold(tracks, label)
+        fold.feed(record)
+    return fold
 
 
 def read_stream(run) -> StreamFold:
@@ -691,6 +764,7 @@ __all__ = [
     "DEFAULT_DEAD_WRITER_GRACE",
     "DEFAULT_MAX_PENDING",
     "DEFAULT_TRACK",
+    "JOURNAL_NAME",
     "METRIC_KINDS",
     "RECORD_TYPES",
     "STREAM_NAME",

@@ -1,17 +1,27 @@
-"""Live telemetry aggregation + the ``repro watch`` dashboard.
+"""``repro watch`` and ``repro fleet``: dashboards as views over one fold.
 
-Consumes the NDJSON stream records of :mod:`repro.obs.stream` — from a
-growing ``stream.ndjson`` or ``stream.ndjson.gz`` (``--run DIR``) or a listening socket fed
-by :class:`~repro.obs.sinks.SocketSink` publishers (``--connect ADDR``;
-the watcher is the *server*, simulations push to it, so one dashboard
-can aggregate many runs) — and folds them into a :class:`LiveAggregate`
-rendered as a refresh-loop terminal dashboard or a static HTML page.
+Both dashboards read the NDJSON records of :mod:`repro.obs.stream`
+through the same :class:`~repro.obs.stream.StreamFold` that ``repro
+report``/``query``/``trace`` use — fed live from a growing
+``stream.ndjson`` or ``stream.ndjson.gz`` (``--run DIR``) or from a
+listening socket that :class:`~repro.obs.sinks.SocketSink` publishers
+push to (``watch --connect ADDR``; the watcher is the *server*, so one
+dashboard can aggregate many runs).  Each refresh turns the fold into a
+plain summary dict and renders that dict as a terminal frame or a static
+HTML page:
 
-The dashboard answers MTM's online questions: is the run making
-intervals, where do pages sit per tier, how much bandwidth is migration
-moving, and is profiling overhead holding under the paper's 5% budget
-(§4's constraint) — plus the reliability counters (faults, retries,
-cache hit ratio, stream drops).
+* :func:`watch_summary` answers MTM's online questions: is the run
+  making intervals, where do pages sit per tier, how much bandwidth is
+  migration moving, and is profiling overhead holding under the paper's
+  5% budget (§4's constraint) — plus the reliability counters (faults,
+  retries, cache hit ratio, stream drops and stream problems).  It reads
+  each track's ``interval.end`` events, counter totals and the latest
+  gauges.
+* :func:`fleet_summary` is the sweep service's view of a ``repro serve
+  --obs-stream`` stream: the ``service.*`` events replayed in order.
+  :func:`fleet_snapshot_summary` builds the same dict from a scheduler
+  fleet snapshot (``fleet --connect``: the ``fleet`` protocol op /
+  ``/fleet.json``).
 """
 
 from __future__ import annotations
@@ -25,8 +35,25 @@ from repro.obs.events import (
     EV_CACHE_MISS,
     EV_FAULT_INJECTED,
     EV_INTERVAL_END,
+    EV_SERVICE_ALERT_FIRING,
+    EV_SERVICE_ALERT_RESOLVED,
+    EV_SERVICE_CELL_DEAD_LETTER,
+    EV_SERVICE_CELL_DONE,
+    EV_SERVICE_CELL_REQUEUED,
+    EV_SERVICE_JOB_DONE,
+    EV_SERVICE_JOB_FAILED,
+    EV_SERVICE_JOB_SUBMITTED,
+    EV_SERVICE_LEASE_EXPIRED,
+    EV_SERVICE_LEASE_GRANTED,
+    EV_SERVICE_WORKER_JOINED,
+    EV_SERVICE_WORKER_LOST,
 )
-from repro.obs.stream import STREAM_SCHEMA_VERSION, iter_ndjson
+from repro.obs.stream import (
+    STREAM_SCHEMA_VERSION,
+    StreamFold,
+    fold_records,
+    iter_ndjson,
+)
 from repro.units import PAGE_SIZE
 
 #: The paper's profiling-overhead constraint (§4): profiling may consume
@@ -34,195 +61,237 @@ from repro.units import PAGE_SIZE
 DEFAULT_BUDGET = 0.05
 
 
-class TrackState:
-    """Rolling state of one stream track (one engine run)."""
+# -- the watch summary --------------------------------------------------------
 
-    __slots__ = (
-        "intervals", "last_interval", "sim_time", "app_time", "prof_time",
-        "mig_time", "promoted_pages", "demoted_pages", "degraded",
-        "fault_events", "first_end_ts", "last_end_ts", "done",
+
+def watch_summary(fold: StreamFold) -> dict:
+    """Everything ``repro watch`` renders, read off a (live) fold."""
+    ends = [[e for e in data.events if e.name == EV_INTERVAL_END]
+            for data in fold.tracks.values()]
+
+    def total(field: str):
+        return sum(sum(e.fields.get(field, 0) for e in track)
+                   for track in ends)
+
+    rate = 0.0
+    for track in ends:
+        if len(track) >= 2 and track[-1].ts > track[0].ts:
+            rate += (len(track) - 1) / (track[-1].ts - track[0].ts)
+    registry = fold.registry
+    counts = fold.event_counts()
+    app, prof = total("app_time"), total("profiling_time")
+    sim_time = sum(track[-1].sim_time for track in ends if track)
+    promoted, demoted = total("promoted_pages"), total("demoted_pages")
+    hits = registry.counter_total("cache.hits") or counts.get(EV_CACHE_HIT, 0)
+    misses = (registry.counter_total("cache.misses")
+              or counts.get(EV_CACHE_MISS, 0))
+    used: dict[int, float] = {}
+    cap: dict[int, float] = {}
+    for (name, labels), value in registry.gauges.items():
+        node = next((int(v) for k, v in labels if k == "node"), None)
+        if node is None:
+            continue
+        if name == "tier.occupancy_pages":
+            used[node] = value
+        elif name == "tier.capacity_pages":
+            cap[node] = value
+    return {
+        "tracks": len(fold.tracks),
+        "tracks_done": len(set(fold.ended)),
+        "records": fold.records,
+        "problems": fold.problems(),
+        "intervals": sum(len(track) for track in ends),
+        "interval_rate": rate,
+        "sim_time": sim_time,
+        "app_time": app,
+        "profile_time": prof,
+        "migrate_time": total("migration_time"),
+        "profile_overhead": (prof / app) if app > 0 else 0.0,
+        "promoted_pages": promoted,
+        "demoted_pages": demoted,
+        "migration_bandwidth": ((promoted + demoted) * PAGE_SIZE / sim_time
+                                if sim_time > 0 else 0.0),
+        "degraded_intervals": sum(1 for track in ends for e in track
+                                  if e.fields.get("degraded")),
+        "faults": counts.get(EV_FAULT_INJECTED, 0),
+        "retries_scheduled": registry.counter_total(
+            "migrate.retries_scheduled"),
+        "retries_succeeded": registry.counter_total(
+            "migrate.retries_succeeded"),
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "cache_hit_ratio": (hits / (hits + misses)) if (hits + misses) else 0.0,
+        "dropped_events": registry.counter_total("obs.dropped_events"),
+        "relay_backpressure": registry.counter_total("obs.relay_backpressure"),
+        # (node, used_pages, capacity_pages) per tier.
+        "tiers": [(node, used[node], cap.get(node, 0.0))
+                  for node in sorted(used)],
+        # A `repro serve --obs-stream` daemon publishes its result-cache
+        # (service.cache.*) and warm-fleet (service.warm.*) state as
+        # gauges; plain simulation streams carry none, which hides the
+        # service panel.
+        "service": {name: value for (name, _), value in
+                    registry.gauges.items() if name.startswith("service.")},
+        "done": fold.done,
+    }
+
+
+# -- the fleet summary --------------------------------------------------------
+
+
+_FLEET_COUNTERS = ("leases_granted", "leases_expired", "requeues",
+                   "completions")
+
+
+def _fleet_frame(worker_states: dict, **fields) -> dict:
+    """One fleet summary dict: ``fields`` plus the per-worker rollups."""
+    live = [w for w in worker_states.values() if not w["lost"]]
+    frame = {"queue_depth": 0, "active_leases": 0, "dead_letters": 0,
+             "lease_latency": {}, "cache": {}, "warm": {}, "alerts": [],
+             "alert_history": 0, "throughput": [], "stopping": False,
+             "done": False, **fields}
+    frame.update(
+        worker_states=worker_states,
+        workers=len(live),
+        workers_lost=len(worker_states) - len(live),
+        active_leases=frame["active_leases"] or sum(
+            len(w["in_flight"]) for w in live),
+    )
+    return frame
+
+
+def _new_worker() -> dict:
+    return {"cells_done": 0, "staleness": 0.0, "in_flight": [],
+            "warm_keys": 0, "lost": False}
+
+
+def fleet_summary(fold: StreamFold) -> dict:
+    """``repro fleet``'s frame from a ``repro serve --obs-stream`` fold.
+
+    Replays the ``service.*`` events in order (the scheduler's track is
+    the only one that carries them) and reads the latest
+    ``service.cache.*``/``service.warm.*`` gauges.  ``records`` counts
+    the service events plus the service gauge series; it is 0 for a
+    stream the sweep service did not write.
+    """
+    workers: dict[str, dict] = {}
+    counters = dict.fromkeys(_FLEET_COUNTERS, 0)
+    jobs = {"running": 0, "done": 0, "failed": 0}
+    alerts: dict[str, dict] = {}
+    history = dead_letters = updates = 0
+    for data in fold.tracks.values():
+        for event in data.events:
+            name = event.name
+            if not name.startswith("service."):
+                continue
+            updates += 1
+            f = event.fields
+            wid = f.get("worker")
+            cell = f"{f.get('workload')}/{f.get('solution')}"
+            if name == EV_SERVICE_WORKER_JOINED:
+                workers.setdefault(wid, _new_worker())["lost"] = False
+            elif name == EV_SERVICE_WORKER_LOST:
+                if wid in workers:
+                    workers[wid].update(lost=True, in_flight=[])
+            elif name == EV_SERVICE_LEASE_GRANTED:
+                counters["leases_granted"] += 1
+                flight = workers.setdefault(wid, _new_worker())["in_flight"]
+                if cell not in flight:
+                    flight.append(cell)
+            elif name == EV_SERVICE_LEASE_EXPIRED:
+                counters["leases_expired"] += 1
+                if wid in workers and cell in workers[wid]["in_flight"]:
+                    workers[wid]["in_flight"].remove(cell)
+            elif name == EV_SERVICE_CELL_DONE:
+                counters["completions"] += 1
+                worker = workers.setdefault(wid, _new_worker())
+                worker["cells_done"] += 1
+                if cell in worker["in_flight"]:
+                    worker["in_flight"].remove(cell)
+            elif name == EV_SERVICE_CELL_REQUEUED:
+                counters["requeues"] += 1
+            elif name == EV_SERVICE_CELL_DEAD_LETTER:
+                dead_letters += 1
+            elif name == EV_SERVICE_JOB_SUBMITTED:
+                jobs["running"] += 1
+            elif name in (EV_SERVICE_JOB_DONE, EV_SERVICE_JOB_FAILED):
+                jobs["running"] = max(0, jobs["running"] - 1)
+                jobs["done" if name == EV_SERVICE_JOB_DONE else "failed"] += 1
+            elif name == EV_SERVICE_ALERT_FIRING:
+                rule = f.get("rule", "?")
+                alerts[rule] = {
+                    "rule": rule, "metric": f.get("metric", ""),
+                    "value": f.get("value", 0.0),
+                    "threshold": f.get("threshold", 0.0),
+                    "description": f.get("description", ""),
+                }
+                history += 1
+            elif name == EV_SERVICE_ALERT_RESOLVED:
+                alerts.pop(f.get("rule", "?"), None)
+                history += 1
+    gauges = {"cache": {}, "warm": {}}
+    for (name, _), value in fold.registry.gauges.items():
+        prefix, group, key = (name.split(".", 2) + ["", ""])[:3]
+        if prefix == "service" and group in gauges:
+            gauges[group][key] = value
+    return _fleet_frame(
+        workers, dead_letters=dead_letters, counters=counters, jobs=jobs,
+        alerts=sorted(alerts.values(), key=lambda a: a["rule"]),
+        alert_history=history, done=fold.done,
+        records=updates + len(gauges["cache"]) + len(gauges["warm"]),
+        **gauges,
     )
 
-    def __init__(self) -> None:
-        self.intervals = 0
-        self.last_interval = -1
-        self.sim_time = 0.0
-        self.app_time = 0.0
-        self.prof_time = 0.0
-        self.mig_time = 0.0
-        self.promoted_pages = 0
-        self.demoted_pages = 0
-        self.degraded = 0
-        self.fault_events = 0
-        self.first_end_ts = None
-        self.last_end_ts = None
-        self.done = False
 
-
-class LiveAggregate:
-    """Folds stream records into the state the dashboard renders."""
-
-    def __init__(self) -> None:
-        self.tracks: dict[str, TrackState] = {}
-        self.counters: dict[tuple, float] = {}
-        self.gauges: dict[tuple, float] = {}
-        self.event_counts: dict[str, int] = {}
-        self.records = 0
-        self.invalid_records = 0
-        self.schema_mismatch = 0
-        self.done = False
-
-    def _track(self, name) -> TrackState:
-        track = self.tracks.get(name)
-        if track is None:
-            track = self.tracks[name] = TrackState()
-        return track
-
-    def feed(self, record) -> None:
-        """Fold one decoded record in (unknown shapes are counted, kept)."""
-        if not isinstance(record, dict):
-            self.invalid_records += 1
-            return
-        self.records += 1
-        rtype = record.get("type")
-        track_name = record.get("track", "")
-        if rtype == "meta":
-            self._track(track_name)
-            if record.get("v") != STREAM_SCHEMA_VERSION:
-                self.schema_mismatch += 1
-        elif rtype == "event":
-            name = record.get("name", "")
-            self.event_counts[name] = self.event_counts.get(name, 0) + 1
-            track = self._track(track_name)
-            if name == EV_INTERVAL_END:
-                track.intervals += 1
-                track.last_interval = record.get("interval", -1)
-                track.sim_time = record.get("sim_time", track.sim_time)
-                track.app_time += record.get("app_time", 0.0)
-                track.prof_time += record.get("profiling_time", 0.0)
-                track.mig_time += record.get("migration_time", 0.0)
-                track.promoted_pages += record.get("promoted_pages", 0)
-                track.demoted_pages += record.get("demoted_pages", 0)
-                if record.get("degraded"):
-                    track.degraded += 1
-                ts = record.get("ts")
-                if isinstance(ts, (int, float)):
-                    if track.first_end_ts is None:
-                        track.first_end_ts = ts
-                    track.last_end_ts = ts
-            elif name == EV_FAULT_INJECTED:
-                track.fault_events += 1
-        elif rtype == "metric":
-            name = record.get("name", "")
-            labels = tuple(tuple(p) for p in record.get("labels") or ())
-            key = (name, labels)
-            kind = record.get("kind")
-            if kind == "counter":
-                self.counters[key] = (
-                    self.counters.get(key, 0) + record.get("delta", 0)
-                )
-            elif kind == "gauge":
-                self.gauges[key] = record.get("value", 0)
-        elif rtype == "end":
-            self._track(track_name).done = True
-            self.done = True
-        elif rtype not in ("span", "provenance"):
-            self.invalid_records += 1
-
-    def feed_lines(self, records) -> None:
-        for record in records:
-            self.feed(record)
-
-    # -- derived views --------------------------------------------------------
-
-    def counter_total(self, name: str) -> float:
-        return sum(v for (n, _), v in self.counters.items() if n == name)
-
-    def interval_rate(self) -> float:
-        """Aggregate host-side intervals/second across tracks."""
-        rate = 0.0
-        for track in self.tracks.values():
-            if (track.intervals >= 2 and track.first_end_ts is not None
-                    and track.last_end_ts is not None
-                    and track.last_end_ts > track.first_end_ts):
-                rate += (track.intervals - 1) / (
-                    track.last_end_ts - track.first_end_ts
-                )
-        return rate
-
-    def tier_occupancy(self) -> list[tuple[int, float, float]]:
-        """``(node, used_pages, capacity_pages)`` per tier, latest values."""
-        used: dict[int, float] = {}
-        cap: dict[int, float] = {}
-        for (name, labels), value in self.gauges.items():
-            node = next(
-                (int(v) for k, v in labels if k == "node"), None
-            )
-            if node is None:
-                continue
-            if name == "tier.occupancy_pages":
-                used[node] = value
-            elif name == "tier.capacity_pages":
-                cap[node] = value
-        return [
-            (node, used[node], cap.get(node, 0.0)) for node in sorted(used)
-        ]
-
-    def service_gauges(self) -> dict[str, float]:
-        """Latest ``service.*`` gauges (scheduler-side telemetry).
-
-        A ``repro serve --obs-stream`` daemon publishes its result-cache
-        counters (``service.cache.*``) and warm-fleet state
-        (``service.warm.*``: snapshot hits/misses, cached bytes,
-        affinity grants) as gauges; plain simulation streams carry none,
-        so an empty dict hides the service panel entirely.
-        """
-        return {name: value for (name, _labels), value in self.gauges.items()
-                if name.startswith("service.")}
-
-    def summary(self) -> dict:
-        """Everything the renderers need, as plain values."""
-        intervals = sum(t.intervals for t in self.tracks.values())
-        app = sum(t.app_time for t in self.tracks.values())
-        prof = sum(t.prof_time for t in self.tracks.values())
-        mig = sum(t.mig_time for t in self.tracks.values())
-        sim_time = sum(t.sim_time for t in self.tracks.values())
-        promoted = sum(t.promoted_pages for t in self.tracks.values())
-        demoted = sum(t.demoted_pages for t in self.tracks.values())
-        moved_bytes = (promoted + demoted) * PAGE_SIZE
-        hits = self.counter_total("cache.hits") or self.event_counts.get(
-            EV_CACHE_HIT, 0
-        )
-        misses = self.counter_total("cache.misses") or self.event_counts.get(
-            EV_CACHE_MISS, 0
-        )
-        return {
-            "tracks": len(self.tracks),
-            "tracks_done": sum(1 for t in self.tracks.values() if t.done),
-            "records": self.records,
-            "intervals": intervals,
-            "interval_rate": self.interval_rate(),
-            "sim_time": sim_time,
-            "app_time": app,
-            "profile_time": prof,
-            "migrate_time": mig,
-            "profile_overhead": (prof / app) if app > 0 else 0.0,
-            "promoted_pages": promoted,
-            "demoted_pages": demoted,
-            "migration_bandwidth": (moved_bytes / sim_time) if sim_time > 0 else 0.0,
-            "degraded_intervals": sum(t.degraded for t in self.tracks.values()),
-            "faults": sum(t.fault_events for t in self.tracks.values()),
-            "retries_scheduled": self.counter_total("migrate.retries_scheduled"),
-            "retries_succeeded": self.counter_total("migrate.retries_succeeded"),
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_ratio": (hits / (hits + misses)) if (hits + misses) else 0.0,
-            "dropped_events": self.counter_total("obs.dropped_events"),
-            "relay_backpressure": self.counter_total("obs.relay_backpressure"),
-            "tiers": self.tier_occupancy(),
-            "service": self.service_gauges(),
-            "done": self.done,
+def fleet_snapshot_summary(snapshot: dict) -> dict:
+    """The :func:`fleet_summary` dict of one scheduler ``fleet`` snapshot."""
+    workers = {
+        wid: {
+            "cells_done": entry.get("cells_done", 0),
+            "staleness": entry.get("staleness", 0.0),
+            "in_flight": [f"{lease.get('workload')}/{lease.get('solution')}"
+                          for lease in entry.get("in_flight", [])],
+            "warm_keys": entry.get("warm_keys", 0),
+            "lost": False,
         }
+        for wid, entry in snapshot.get("workers", {}).items()
+    }
+    alerts = {entry.get("rule", "?"): dict(entry)
+              for entry in snapshot.get("alerts", []) or []}
+    return _fleet_frame(
+        workers,
+        queue_depth=int(snapshot.get("queue_depth", 0)),
+        active_leases=int(snapshot.get("active_leases", 0)),
+        dead_letters=int(snapshot.get("dead_letters", 0)),
+        counters={key: int(snapshot.get("counters", {}).get(key, 0))
+                  for key in _FLEET_COUNTERS},
+        lease_latency=dict(snapshot.get("lease_latency", {})),
+        jobs={"running": 0, "done": 0, "failed": 0,
+              **snapshot.get("jobs", {})},
+        cache=dict(snapshot.get("cache", {})),
+        warm=dict(snapshot.get("warm", {})),
+        alerts=sorted(alerts.values(), key=lambda a: a.get("rule", "")),
+        stopping=bool(snapshot.get("stopping", False)),
+        records=1,
+    )
+
+
+class Throughput:
+    """Cells/s between successive completion counts: the fleet sparkline."""
+
+    def __init__(self, keep: int = 120) -> None:
+        self.keep = keep
+        self.rates: list[float] = []
+        self._last: tuple[float, float] | None = None
+
+    def sample(self, completions: float, now: float) -> list[float]:
+        """Add one reading; returns the rate series so far."""
+        if self._last is not None and now > self._last[1]:
+            rate = (completions - self._last[0]) / (now - self._last[1])
+            self.rates.append(max(0.0, rate))
+            del self.rates[:-self.keep]
+        self._last = (float(completions), now)
+        return list(self.rates)
 
 
 # -- terminal rendering -------------------------------------------------------
@@ -246,9 +315,25 @@ def _fmt_bytes(value: float) -> str:
     return f"{value:.1f} TiB"
 
 
-def render_text(agg: LiveAggregate, budget: float = DEFAULT_BUDGET) -> str:
-    """One dashboard frame as plain text."""
-    s = agg.summary()
+_SPARK_CHARS = "▁▂▃▄▅▆▇█"
+
+
+def _spark(values, width: int = 24) -> str:
+    """Unicode sparkline of the last ``width`` samples."""
+    tail = [max(0.0, float(v)) for v in list(values)[-width:]]
+    if not tail:
+        return ""
+    top = max(tail)
+    if top <= 0:
+        return _SPARK_CHARS[0] * len(tail)
+    steps = len(_SPARK_CHARS) - 1
+    return "".join(
+        _SPARK_CHARS[min(steps, int(v / top * steps + 0.5))] for v in tail
+    )
+
+
+def render_text(s: dict, budget: float = DEFAULT_BUDGET) -> str:
+    """One ``repro watch`` frame (a :func:`watch_summary`) as text."""
     lines = []
     status = "done" if s["done"] else "running"
     lines.append(
@@ -315,17 +400,93 @@ def render_text(agg: LiveAggregate, budget: float = DEFAULT_BUDGET) -> str:
         f"stream drops: events {s['dropped_events']:.0f} · "
         f"relay backpressure {s['relay_backpressure']:.0f}"
     )
-    if agg.invalid_records or agg.schema_mismatch:
+    if s["problems"]:
+        lines.append(s["problems"])
+    return "\n".join(lines)
+
+
+def _worker_state(worker: dict) -> str:
+    if worker["lost"]:
+        return "lost"
+    return "busy" if worker["in_flight"] else "idle"
+
+
+def render_fleet_text(s: dict) -> str:
+    """One ``repro fleet`` frame (a fleet summary) as text."""
+    c = s["counters"]
+    lines = []
+    status = "draining" if s["stopping"] else "serving"
+    lines.append(
+        f"repro fleet · {status} · workers {s['workers']} "
+        f"(+{s['workers_lost']} lost) · queue {s['queue_depth']} · "
+        f"in flight {s['active_leases']}"
+    )
+    lines.append(
+        f"leases: {c['leases_granted']} granted · {c['completions']} done · "
+        f"{c['leases_expired']} expired · {c['requeues']} requeued · "
+        f"{s['dead_letters']} dead-lettered"
+    )
+    latency = s["lease_latency"]
+    if latency.get("count"):
         lines.append(
-            f"stream problems: {agg.invalid_records} invalid records, "
-            f"{agg.schema_mismatch} schema mismatches"
+            f"lease latency: p50 {latency.get('p50', 0.0) * 1e3:.0f} ms · "
+            f"p95 {latency.get('p95', 0.0) * 1e3:.0f} ms · "
+            f"p99 {latency.get('p99', 0.0) * 1e3:.0f} ms "
+            f"({latency['count']} samples)"
         )
+    jobs = s["jobs"]
+    lines.append(
+        f"jobs: {jobs.get('running', 0)} running · "
+        f"{jobs.get('done', 0)} done · {jobs.get('failed', 0)} failed"
+    )
+    spark = _spark(s["throughput"])
+    if spark:
+        lines.append(f"throughput {spark} {s['throughput'][-1]:.1f} cells/s")
+    cache = s["cache"]
+    if cache:
+        hits, misses = cache.get("hits", 0), cache.get("misses", 0)
+        ratio = hits / (hits + misses) if (hits + misses) else 0.0
+        lines.append(
+            f"result cache: {ratio * 100:.0f}% hit ({hits:.0f}/{misses:.0f}) "
+            f"· {cache.get('corrupt', 0):.0f} corrupt"
+        )
+    warm = s["warm"]
+    if warm:
+        lines.append(
+            f"warm snapshots: {warm.get('hits', 0):.0f} hits / "
+            f"{warm.get('misses', 0):.0f} misses · "
+            f"{_fmt_bytes(warm.get('cached_bytes', 0))} cached"
+        )
+    states = s["worker_states"]
+    if states:
+        lines.append("workers:")
+        for wid in sorted(states):
+            worker = states[wid]
+            flight = ", ".join(worker["in_flight"][:3]) or "-"
+            lines.append(
+                f"  {wid:<28} {_worker_state(worker):<5} "
+                f"cells {worker['cells_done']:<5} "
+                f"stale {worker.get('staleness', 0.0):5.1f}s  "
+                f"warm {worker.get('warm_keys', 0):<3} running {flight}"
+            )
+    if s["alerts"]:
+        lines.append("ALERTS:")
+        for alert in s["alerts"]:
+            lines.append(
+                f"  !! {alert['rule']}: {alert.get('description', '')} "
+                f"(value {alert.get('value', 0):g}, "
+                f"threshold {alert.get('threshold', 0):g})"
+            )
+    else:
+        lines.append(f"alerts: none firing ({s['alert_history']} transitions)")
     return "\n".join(lines)
 
 
 # -- HTML rendering -----------------------------------------------------------
 
-_HTML_STYLE = """
+#: The dataviz tokens of every HTML page: both dashboards and the
+#: analytics diff report (``repro diff --html``).
+HTML_STYLE = """
 :root { color-scheme: light dark; }
 .viz-root {
   color-scheme: light;
@@ -383,33 +544,47 @@ _HTML_STYLE = """
 """
 
 
-#: Public aliases: the dataviz tokens are shared with the analytics
-#: diff report (``repro diff --html``), which must match the dashboards.
-HTML_STYLE = _HTML_STYLE
-
-
-def _esc(text) -> str:
+def escape_html(text) -> str:
+    """Escape text for embedding in the HTML pages."""
     return (str(text).replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
 
 
-def escape_html(text) -> str:
-    """Escape text for embedding in the shared HTML reports."""
-    return _esc(text)
+def _tiles(tiles) -> str:
+    """A row of ``(label, value, detail)`` tiles."""
+    return '<div class="tiles">' + "".join(
+        f'<div class="tile"><div class="label">{escape_html(label)}</div>'
+        f'<div class="value">{escape_html(value)}</div>'
+        f'<div class="detail">{escape_html(detail)}</div></div>'
+        for label, value, detail in tiles
+    ) + "</div>"
 
 
-def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
+def _page(title: str, sub: str, body: str) -> str:
+    """The self-contained page shell (no external assets)."""
+    return f"""<!DOCTYPE html>
+<html lang="en"><head><meta charset="utf-8">
+<meta name="viewport" content="width=device-width, initial-scale=1">
+<title>{escape_html(title)}</title>
+<style>{HTML_STYLE}</style></head>
+<body class="viz-root">
+<h1>{escape_html(title)}</h1>
+<p class="sub">{escape_html(sub)}</p>
+{body}
+</body></html>
+"""
+
+
+def render_html(s: dict, budget: float = DEFAULT_BUDGET,
                 title: str = "repro watch") -> str:
-    """Self-contained static dashboard page (no external assets)."""
-    s = agg.summary()
+    """Static ``repro watch`` page of a :func:`watch_summary`."""
     overhead = s["profile_overhead"]
-    over = overhead > budget
-    tiles = [
+    tiles = _tiles([
         ("Intervals", f"{s['intervals']}",
          f"{s['interval_rate']:.1f}/s host rate"),
         ("Sim time", f"{s['sim_time']:.3f} s",
          f"{s['tracks']} tracks, {s['tracks_done']} done"),
-        ("Migration", f"{_esc(_fmt_bytes(s['migration_bandwidth']))}/s",
+        ("Migration", f"{_fmt_bytes(s['migration_bandwidth'])}/s",
          f"{s['promoted_pages']} promoted / {s['demoted_pages']} demoted pages"),
         ("Cache hit", f"{s['cache_hit_ratio'] * 100:.1f}%",
          f"{s['cache_hits']:.0f} hits / {s['cache_misses']:.0f} misses"),
@@ -419,13 +594,7 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
         ("Stream drops", f"{s['dropped_events'] + s['relay_backpressure']:.0f}",
          f"events {s['dropped_events']:.0f} · relay "
          f"{s['relay_backpressure']:.0f}"),
-    ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(label)}</div>'
-        f'<div class="value">{value}</div>'
-        f'<div class="detail">{detail}</div></div>'
-        for label, value, detail in tiles
-    )
+    ])
     tier_rows = ""
     for node, used, cap in s["tiers"]:
         frac = used / cap if cap else 0.0
@@ -436,14 +605,12 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
             f'<span class="num">{int(used)}/{int(cap)} pages '
             f"({frac * 100:.1f}%)</span></div>"
         )
-    overhead_frac = min(overhead / (2 * budget), 1.0) if budget else 0.0
-    verdict_cls = "status-over" if over else "status-ok"
-    verdict = "✗ over budget" if over else "✓ within budget"
-    status = "done" if s["done"] else "running"
+    body = [tiles, '<div class="panel"><h2>Tier occupancy</h2>'
+            + (tier_rows or '<p class="sub">no occupancy gauges yet</p>')
+            + "</div>"]
     svc = s["service"]
-    service_panel = ""
     if svc:
-        svc_tiles = [
+        body.append('<div class="panel"><h2>Sweep service</h2>' + _tiles([
             ("Result cache",
              f"{svc.get('service.cache.hits', 0):.0f} hits",
              f"{svc.get('service.cache.misses', 0):.0f} misses · "
@@ -452,333 +619,36 @@ def render_html(agg: LiveAggregate, budget: float = DEFAULT_BUDGET,
             ("Warm snapshots",
              f"{svc.get('service.warm.hits', 0):.0f} hits",
              f"{svc.get('service.warm.misses', 0):.0f} misses · "
-             f"{_esc(_fmt_bytes(svc.get('service.warm.cached_bytes', 0)))}"
-             " cached"),
+             f"{_fmt_bytes(svc.get('service.warm.cached_bytes', 0))} cached"),
             ("Affinity",
              f"{svc.get('service.warm.affinity_hits', 0):.0f} warm grants",
              f"{svc.get('service.warm.affinity_skips', 0):.0f} redirects "
              "past the FIFO head"),
-        ]
-        svc_html = "".join(
-            f'<div class="tile"><div class="label">{_esc(label)}</div>'
-            f'<div class="value">{value}</div>'
-            f'<div class="detail">{detail}</div></div>'
-            for label, value, detail in svc_tiles
-        )
-        service_panel = (
-            f'<div class="panel"><h2>Sweep service</h2>'
-            f'<div class="tiles">{svc_html}</div></div>'
-        )
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(title)}</title>
-<style>{_HTML_STYLE}</style></head>
-<body class="viz-root">
-<h1>{_esc(title)}</h1>
-<p class="sub">{status} · {s['records']} stream records · schema v{STREAM_SCHEMA_VERSION}</p>
-<div class="tiles">{tile_html}</div>
-<div class="panel"><h2>Tier occupancy</h2>{tier_rows or '<p class="sub">no occupancy gauges yet</p>'}</div>
-{service_panel}
-<div class="panel"><h2>Profiling overhead vs budget</h2>
-<div class="meter-row"><span class="name">profiling</span>
-<span class="meter"><span class="fill" style="width:{overhead_frac * 100:.1f}%"></span>
-<span class="budget" style="left:50%"></span></span>
-<span class="num">{overhead * 100:.2f}% of app time ·
-<span class="{verdict_cls}">{verdict}</span> ({budget * 100:.0f}%)</span></div>
-</div>
-</body></html>
-"""
+        ]) + "</div>")
+    over = overhead > budget
+    overhead_frac = min(overhead / (2 * budget), 1.0) if budget else 0.0
+    body.append(
+        '<div class="panel"><h2>Profiling overhead vs budget</h2>\n'
+        '<div class="meter-row"><span class="name">profiling</span>\n'
+        '<span class="meter"><span class="fill" '
+        f'style="width:{overhead_frac * 100:.1f}%"></span>\n'
+        '<span class="budget" style="left:50%"></span></span>\n'
+        f'<span class="num">{overhead * 100:.2f}% of app time ·\n'
+        f'<span class="{"status-over" if over else "status-ok"}">'
+        f'{"✗ over budget" if over else "✓ within budget"}</span> '
+        f"({budget * 100:.0f}%)</span></div>\n</div>")
+    if s["problems"]:
+        body.append(f'<p class="sub">{escape_html(s["problems"])}</p>')
+    status = "done" if s["done"] else "running"
+    return _page(title, f"{status} · {s['records']} stream records · "
+                        f"schema v{STREAM_SCHEMA_VERSION}", "\n".join(body))
 
 
-# -- the fleet dashboard ------------------------------------------------------
-
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def _spark(values, width: int = 24) -> str:
-    """Unicode sparkline of the last ``width`` samples."""
-    tail = [max(0.0, float(v)) for v in list(values)[-width:]]
-    if not tail:
-        return ""
-    top = max(tail)
-    if top <= 0:
-        return _SPARK_CHARS[0] * len(tail)
-    steps = len(_SPARK_CHARS) - 1
-    return "".join(
-        _SPARK_CHARS[min(steps, int(v / top * steps + 0.5))] for v in tail
-    )
-
-
-class FleetAggregate:
-    """State behind ``repro fleet``: per-worker fleet health.
-
-    Two feeding modes, mirrored onto the same summary:
-
-    * **snapshot mode** (``--connect``): :meth:`feed_snapshot` replaces
-      the state wholesale with a scheduler fleet snapshot (the ``fleet``
-      protocol op / ``/fleet.json``);
-    * **stream mode** (``--run``): :meth:`feed` folds ``service.*``
-      stream records from a ``repro serve --obs-stream`` NDJSON file.
-
-    :meth:`sample_throughput` turns the completions counter into a
-    per-refresh rate series for the sparkline.
-    """
-
-    def __init__(self) -> None:
-        #: wid -> {"cells_done", "staleness", "in_flight", "warm_keys",
-        #:         "lost"}
-        self.workers: dict[str, dict] = {}
-        self.queue_depth = 0
-        self.active_leases = 0
-        self.dead_letters = 0
-        self.counters = {"leases_granted": 0, "leases_expired": 0,
-                         "requeues": 0, "completions": 0}
-        self.lease_latency: dict = {}
-        self.jobs = {"running": 0, "done": 0, "failed": 0}
-        self.cache: dict = {}
-        self.warm: dict = {}
-        #: rule name -> alert entry (currently firing)
-        self.alerts: dict[str, dict] = {}
-        self.alert_history = 0
-        self.records = 0
-        self.stopping = False
-        self._throughput: list[float] = []
-        self._last_completions = 0.0
-        self._last_sample: float | None = None
-
-    # -- snapshot mode ---------------------------------------------------------
-
-    def feed_snapshot(self, snapshot: dict) -> None:
-        """Replace the aggregate's state from one ``fleet`` snapshot."""
-        self.records += 1
-        self.queue_depth = int(snapshot.get("queue_depth", 0))
-        self.active_leases = int(snapshot.get("active_leases", 0))
-        self.dead_letters = int(snapshot.get("dead_letters", 0))
-        for key in self.counters:
-            self.counters[key] = int(
-                snapshot.get("counters", {}).get(key, self.counters[key]))
-        self.lease_latency = dict(snapshot.get("lease_latency", {}))
-        self.jobs.update(snapshot.get("jobs", {}))
-        self.cache = dict(snapshot.get("cache", {}))
-        self.warm = dict(snapshot.get("warm", {}))
-        self.stopping = bool(snapshot.get("stopping", False))
-        self.workers = {
-            wid: {
-                "cells_done": entry.get("cells_done", 0),
-                "staleness": entry.get("staleness", 0.0),
-                "in_flight": [
-                    f"{lease.get('workload')}/{lease.get('solution')}"
-                    for lease in entry.get("in_flight", [])
-                ],
-                "warm_keys": entry.get("warm_keys", 0),
-                "lost": False,
-            }
-            for wid, entry in snapshot.get("workers", {}).items()
-        }
-        firing = {}
-        for entry in snapshot.get("alerts", []) or []:
-            firing[entry.get("rule", "?")] = dict(entry)
-        self.alerts = firing
-
-    # -- stream mode -----------------------------------------------------------
-
-    def _worker(self, wid: str) -> dict:
-        worker = self.workers.get(wid)
-        if worker is None:
-            worker = self.workers[wid] = {
-                "cells_done": 0, "staleness": 0.0, "in_flight": [],
-                "warm_keys": 0, "lost": False,
-            }
-        return worker
-
-    def feed(self, record) -> None:
-        """Fold one ``service.*`` stream record (others are ignored)."""
-        if not isinstance(record, dict):
-            return
-        rtype = record.get("type")
-        if rtype == "event":
-            name = record.get("name", "")
-            if not name.startswith("service."):
-                return
-            self.records += 1
-            wid = record.get("worker")
-            cell = f"{record.get('workload')}/{record.get('solution')}"
-            if name == "service.worker_joined":
-                self._worker(wid)["lost"] = False
-            elif name == "service.worker_lost":
-                if wid in self.workers:
-                    self.workers[wid]["lost"] = True
-                    self.workers[wid]["in_flight"] = []
-            elif name == "service.lease_granted":
-                self.counters["leases_granted"] += 1
-                worker = self._worker(wid)
-                if cell not in worker["in_flight"]:
-                    worker["in_flight"].append(cell)
-            elif name == "service.lease_expired":
-                self.counters["leases_expired"] += 1
-                if wid in self.workers:
-                    flight = self.workers[wid]["in_flight"]
-                    if cell in flight:
-                        flight.remove(cell)
-            elif name == "service.cell_done":
-                self.counters["completions"] += 1
-                worker = self._worker(wid)
-                worker["cells_done"] += 1
-                if cell in worker["in_flight"]:
-                    worker["in_flight"].remove(cell)
-            elif name == "service.cell_requeued":
-                self.counters["requeues"] += 1
-            elif name == "service.cell_dead_letter":
-                self.dead_letters += 1
-            elif name == "service.job_submitted":
-                self.jobs["running"] += 1
-            elif name in ("service.job_done", "service.job_failed"):
-                state = "done" if name.endswith("done") else "failed"
-                self.jobs["running"] = max(0, self.jobs["running"] - 1)
-                self.jobs[state] += 1
-            elif name == "service.alert.firing":
-                rule = record.get("rule", "?")
-                self.alerts[rule] = {
-                    "rule": rule, "metric": record.get("metric", ""),
-                    "value": record.get("value", 0.0),
-                    "threshold": record.get("threshold", 0.0),
-                    "description": record.get("description", ""),
-                }
-                self.alert_history += 1
-            elif name == "service.alert.resolved":
-                self.alerts.pop(record.get("rule", "?"), None)
-                self.alert_history += 1
-        elif rtype == "metric" and record.get("kind") == "gauge":
-            name = record.get("name", "")
-            if name.startswith("service.cache."):
-                self.records += 1
-                self.cache[name.rsplit(".", 1)[1]] = record.get("value", 0)
-            elif name.startswith("service.warm."):
-                self.records += 1
-                self.warm[name.rsplit(".", 1)[1]] = record.get("value", 0)
-
-    # -- derived ---------------------------------------------------------------
-
-    def sample_throughput(self, now: float) -> None:
-        """One rate sample (cells/s since the previous call)."""
-        completions = float(self.counters["completions"])
-        if self._last_sample is not None and now > self._last_sample:
-            rate = (completions - self._last_completions) / (
-                now - self._last_sample)
-            self._throughput.append(max(0.0, rate))
-            if len(self._throughput) > 120:
-                del self._throughput[:-120]
-        self._last_sample = now
-        self._last_completions = completions
-
-    def throughput(self) -> list[float]:
-        return list(self._throughput)
-
-    def summary(self) -> dict:
-        live = [w for w in self.workers.values() if not w["lost"]]
-        return {
-            "workers": len(live),
-            "workers_lost": sum(1 for w in self.workers.values() if w["lost"]),
-            "queue_depth": self.queue_depth,
-            "active_leases": self.active_leases or sum(
-                len(w["in_flight"]) for w in live),
-            "dead_letters": self.dead_letters,
-            "counters": dict(self.counters),
-            "lease_latency": dict(self.lease_latency),
-            "jobs": dict(self.jobs),
-            "cache": dict(self.cache),
-            "warm": dict(self.warm),
-            "alerts": sorted(self.alerts.values(),
-                             key=lambda a: a.get("rule", "")),
-            "alert_history": self.alert_history,
-            "throughput": self.throughput(),
-            "records": self.records,
-            "stopping": self.stopping,
-        }
-
-
-def render_fleet_text(agg: FleetAggregate) -> str:
-    """One ``repro fleet`` frame as plain text."""
-    s = agg.summary()
-    c = s["counters"]
-    lines = []
-    status = "draining" if s["stopping"] else "serving"
-    lines.append(
-        f"repro fleet · {status} · workers {s['workers']} "
-        f"(+{s['workers_lost']} lost) · queue {s['queue_depth']} · "
-        f"in flight {s['active_leases']}"
-    )
-    lines.append(
-        f"leases: {c['leases_granted']} granted · {c['completions']} done · "
-        f"{c['leases_expired']} expired · {c['requeues']} requeued · "
-        f"{s['dead_letters']} dead-lettered"
-    )
-    latency = s["lease_latency"]
-    if latency.get("count"):
-        lines.append(
-            f"lease latency: p50 {latency.get('p50', 0.0) * 1e3:.0f} ms · "
-            f"p95 {latency.get('p95', 0.0) * 1e3:.0f} ms · "
-            f"p99 {latency.get('p99', 0.0) * 1e3:.0f} ms "
-            f"({latency['count']} samples)"
-        )
-    jobs = s["jobs"]
-    lines.append(
-        f"jobs: {jobs.get('running', 0)} running · "
-        f"{jobs.get('done', 0)} done · {jobs.get('failed', 0)} failed"
-    )
-    spark = _spark(s["throughput"])
-    if spark:
-        current = s["throughput"][-1] if s["throughput"] else 0.0
-        lines.append(f"throughput {spark} {current:.1f} cells/s")
-    cache = s["cache"]
-    if cache:
-        hits, misses = cache.get("hits", 0), cache.get("misses", 0)
-        ratio = hits / (hits + misses) if (hits + misses) else 0.0
-        lines.append(
-            f"result cache: {ratio * 100:.0f}% hit ({hits:.0f}/{misses:.0f}) "
-            f"· {cache.get('corrupt', 0):.0f} corrupt"
-        )
-    warm = s["warm"]
-    if warm:
-        lines.append(
-            f"warm snapshots: {warm.get('hits', 0):.0f} hits / "
-            f"{warm.get('misses', 0):.0f} misses · "
-            f"{_fmt_bytes(warm.get('cached_bytes', 0))} cached"
-        )
-    if agg.workers:
-        lines.append("workers:")
-        for wid in sorted(agg.workers):
-            worker = agg.workers[wid]
-            state = "lost" if worker["lost"] else (
-                "busy" if worker["in_flight"] else "idle")
-            flight = ", ".join(worker["in_flight"][:3]) or "-"
-            stale = worker.get("staleness", 0.0)
-            lines.append(
-                f"  {wid:<28} {state:<5} cells {worker['cells_done']:<5} "
-                f"stale {stale:5.1f}s  warm {worker.get('warm_keys', 0):<3} "
-                f"running {flight}"
-            )
-    if s["alerts"]:
-        lines.append("ALERTS:")
-        for alert in s["alerts"]:
-            lines.append(
-                f"  !! {alert['rule']}: {alert.get('description', '')} "
-                f"(value {alert.get('value', 0):g}, "
-                f"threshold {alert.get('threshold', 0):g})"
-            )
-    else:
-        lines.append(f"alerts: none firing ({s['alert_history']} transitions)")
-    return "\n".join(lines)
-
-
-def render_fleet_html(agg: FleetAggregate,
-                      title: str = "repro fleet") -> str:
-    """Self-contained static fleet page (same dataviz skin as watch)."""
-    s = agg.summary()
+def render_fleet_html(s: dict, title: str = "repro fleet") -> str:
+    """Static ``repro fleet`` page of a fleet summary."""
     c = s["counters"]
     latency = s["lease_latency"]
-    tiles = [
+    tiles = _tiles([
         ("Workers", f"{s['workers']}",
          f"{s['workers_lost']} lost · {s['active_leases']} cells in flight"),
         ("Queue", f"{s['queue_depth']}",
@@ -794,185 +664,52 @@ def render_fleet_html(agg: FleetAggregate,
          f"{s['jobs'].get('failed', 0)} failed"),
         ("Alerts", f"{len(s['alerts'])}",
          f"{s['alert_history']} transitions"),
-    ]
-    tile_html = "".join(
-        f'<div class="tile"><div class="label">{_esc(label)}</div>'
-        f'<div class="value">{_esc(value)}</div>'
-        f'<div class="detail">{_esc(detail)}</div></div>'
-        for label, value, detail in tiles
-    )
+    ])
     worker_rows = ""
-    for wid in sorted(agg.workers):
-        worker = agg.workers[wid]
-        state = "lost" if worker["lost"] else (
-            "busy" if worker["in_flight"] else "idle")
+    states = s["worker_states"]
+    for wid in sorted(states):
+        worker = states[wid]
         flight = ", ".join(worker["in_flight"][:3]) or "—"
         worker_rows += (
-            f'<div class="meter-row"><span class="name">{_esc(wid)}</span>'
-            f'<span class="num">{_esc(state)} · '
+            f'<div class="meter-row"><span class="name">{escape_html(wid)}'
+            f'</span><span class="num">{_worker_state(worker)} · '
             f"{worker['cells_done']} cells · "
             f"stale {worker.get('staleness', 0.0):.1f}s · "
-            f"{_esc(flight)}</span></div>"
+            f"{escape_html(flight)}</span></div>"
         )
     alert_rows = "".join(
         f'<div class="meter-row"><span class="name status-over">'
-        f"{_esc(alert['rule'])}</span>"
-        f'<span class="num">{_esc(alert.get("description", ""))} '
+        f"{escape_html(alert['rule'])}</span>"
+        f'<span class="num">{escape_html(alert.get("description", ""))} '
         f"(value {alert.get('value', 0):g})</span></div>"
         for alert in s["alerts"]
     ) or '<p class="sub">none firing</p>'
     spark = _spark(s["throughput"], width=48)
     status = "draining" if s["stopping"] else "serving"
-    return f"""<!DOCTYPE html>
-<html lang="en"><head><meta charset="utf-8">
-<meta name="viewport" content="width=device-width, initial-scale=1">
-<title>{_esc(title)}</title>
-<style>{_HTML_STYLE}</style></head>
-<body class="viz-root">
-<h1>{_esc(title)}</h1>
-<p class="sub">{status} · {s['records']} updates</p>
-<div class="tiles">{tile_html}</div>
+    return _page(title, f"{status} · {s['records']} updates", f"""{tiles}
 <div class="panel"><h2>Throughput (cells/s)</h2>
-<p style="font-size:20px;margin:0">{_esc(spark) or '—'}</p></div>
+<p style="font-size:20px;margin:0">{escape_html(spark) or '—'}</p></div>
 <div class="panel"><h2>Workers</h2>{worker_rows or '<p class="sub">none registered</p>'}</div>
-<div class="panel"><h2>Alerts</h2>{alert_rows}</div>
-</body></html>
-"""
-
-
-def run_fleet(
-    connect: str | None = None,
-    run: str | None = None,
-    refresh: float = 1.0,
-    once: bool = False,
-    duration: float | None = None,
-    wait: float | None = None,
-    html: str | None = None,
-    secret: bytes | None = None,
-    out=None,
-) -> int:
-    """Drive the ``repro fleet`` dashboard.
-
-    Exactly one of ``connect`` (poll the scheduler's ``fleet`` op over
-    the wire protocol) or ``run`` (tail a ``repro serve --obs-stream``
-    NDJSON file).  Returns 0 once the fleet drains / the stream ends,
-    1 when nothing was ever observed.
-    """
-    if out is None:
-        out = print
-    agg = FleetAggregate()
-    lock = threading.Lock()
-    stop = threading.Event()
-    client = None
-
-    def write_html() -> None:
-        if html:
-            with lock:
-                page = render_fleet_html(agg)
-            with open(html, "w", encoding="utf-8") as fh:
-                fh.write(page)
-
-    if connect is not None:
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(connect, connect_timeout=wait or 10.0,
-                               secret=secret)
-
-        def poll_once() -> bool:
-            """Fetch one fleet snapshot; False while the daemon is away."""
-            from repro.errors import ServiceError
-
-            try:
-                snapshot = client.fleet()
-            except ServiceError:
-                return False
-            with lock:
-                agg.feed_snapshot(snapshot)
-                agg.sample_throughput(time.monotonic())
-            return True
-    else:
-        def pump() -> None:
-            for record in iter_ndjson(run, follow=not once,
-                                      timeout=duration):
-                with lock:
-                    agg.feed(record)
-                if stop.is_set():
-                    return
-
-        if once:
-            deadline = time.monotonic() + (wait or 0.0)
-            while True:
-                attempt = FleetAggregate()
-                for record in iter_ndjson(run):
-                    attempt.feed(record)
-                agg = attempt
-                if agg.records or time.monotonic() >= deadline:
-                    break
-                time.sleep(0.2)
-            write_html()
-            out(render_fleet_text(agg))
-            return 0 if agg.records else 1
-        thread = threading.Thread(target=pump, daemon=True)
-        thread.start()
-
-    if once and connect is not None:
-        observed = poll_once()
-        write_html()
-        out(render_fleet_text(agg))
-        client.close()
-        return 0 if observed else 1
-
-    started = time.monotonic()
-    is_tty = hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
-    try:
-        while True:
-            time.sleep(refresh)
-            if client is not None:
-                poll_once()
-            else:
-                with lock:
-                    agg.sample_throughput(time.monotonic())
-            with lock:
-                frame = render_fleet_text(agg)
-                draining = agg.stopping
-            if is_tty:
-                out("\x1b[2J\x1b[H" + frame)
-            else:
-                out(frame)
-            write_html()
-            if draining and not agg.workers:
-                break
-            if duration is not None and time.monotonic() - started >= duration:
-                break
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stop.set()
-        if client is not None:
-            client.close()
-        write_html()
-    return 0 if agg.records else 1
+<div class="panel"><h2>Alerts</h2>{alert_rows}</div>""")
 
 
 # -- sources ------------------------------------------------------------------
 
 
 class SocketCollector:
-    """Listening endpoint for SocketSink publishers (``--connect``).
+    """Listening endpoint for SocketSink publishers (``watch --connect``).
 
     The watcher binds/listens; each connected simulation pushes its
-    NDJSON lines, decoded and fed to the aggregate under ``lock``.
+    NDJSON lines, decoded and fed to ``fold`` under ``lock``.
     """
 
-    def __init__(self, address: str, agg: LiveAggregate,
+    def __init__(self, address: str, fold: StreamFold,
                  lock: threading.Lock) -> None:
-        import json as _json
         import socket as _socket
 
         from repro.obs.sinks import parse_address
 
-        self._json = _json
-        self.agg = agg
+        self.fold = fold
         self.lock = lock
         family, target = parse_address(address)
         if family == "unix":
@@ -1013,6 +750,8 @@ class SocketCollector:
             self._threads.append(thread)
 
     def _reader(self, conn) -> None:
+        import json
+
         conn.settimeout(0.2)
         buffer = b""
         while not self._stop.is_set():
@@ -1027,11 +766,11 @@ class SocketCollector:
             *lines, buffer = (buffer + chunk).split(b"\n")
             for line in lines:
                 try:
-                    record = self._json.loads(line)
+                    record = json.loads(line)
                 except ValueError:
                     continue
                 with self.lock:
-                    self.agg.feed(record)
+                    self.fold.feed(record)
         try:
             conn.close()
         except OSError:
@@ -1045,7 +784,77 @@ class SocketCollector:
             pass
 
 
-# -- the watch loop -----------------------------------------------------------
+def _stream_source(run, connect, *, once, wait, refresh, duration, ready):
+    """A fold fed from ``run`` (a stream file or directory) or from
+    ``connect`` (a :class:`SocketCollector` address).
+
+    Returns ``(fold, lock, close)``.  With ``once``, a file is read from
+    the start, again every 0.2 s while ``ready(fold)`` is falsy, for up
+    to ``wait`` seconds; a socket collects for ``wait`` (default
+    ``refresh``) seconds.  Otherwise a daemon thread keeps feeding the
+    fold under ``lock`` until ``close()``.
+    """
+    lock = threading.Lock()
+    if run is not None and once:
+        deadline = time.monotonic() + (wait or 0.0)
+        while True:
+            fold = fold_records(iter_ndjson(run))
+            if ready(fold) or time.monotonic() >= deadline:
+                return fold, lock, lambda: None
+            time.sleep(0.2)
+    fold = StreamFold()
+    if run is None:
+        collector = SocketCollector(connect, fold, lock)
+        collector.start()
+        if once:
+            time.sleep(wait if wait is not None else refresh)
+        return fold, lock, collector.close
+    stop = threading.Event()
+
+    def pump() -> None:
+        for record in iter_ndjson(run, follow=True, timeout=duration):
+            with lock:
+                fold.feed(record)
+            if stop.is_set():
+                return
+
+    threading.Thread(target=pump, daemon=True).start()
+    return fold, lock, stop.set
+
+
+def _drive(summarize, render, page, *, once, refresh, duration, html, out,
+           finished) -> int:
+    """The refresh loop behind ``repro watch`` and ``repro fleet``.
+
+    Each frame prints ``render(summary)`` (clearing a terminal first)
+    and writes ``page(summary)`` to ``html``.  ``once`` shows one frame;
+    otherwise frames repeat every ``refresh`` seconds until
+    ``finished(summary)``, ``duration`` or Ctrl-C.  Returns 0 when the
+    last frame saw records, 1 when nothing was ever observed.
+    """
+    clear = not once and hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
+    started = time.monotonic()
+    summary = {"records": 0}
+    try:
+        while True:
+            if not once:
+                time.sleep(refresh)
+            summary = summarize()
+            if html:
+                with open(html, "w", encoding="utf-8") as fh:
+                    fh.write(page(summary))
+            frame = render(summary)
+            out("\x1b[2J\x1b[H" + frame if clear else frame)
+            if once or finished(summary) or (
+                    duration is not None
+                    and time.monotonic() - started >= duration):
+                break
+    except KeyboardInterrupt:
+        pass
+    return 0 if summary["records"] else 1
+
+
+# -- the dashboards -----------------------------------------------------------
 
 
 def run_watch(
@@ -1059,101 +868,104 @@ def run_watch(
     budget: float = DEFAULT_BUDGET,
     out=None,
 ) -> int:
-    """Drive the dashboard until the stream ends (or forever).
+    """Drive the ``repro watch`` dashboard until the stream ends.
 
     Exactly one of ``run``/``connect``.  ``once`` drains what is
     available and prints a single frame (CI's tail-while-running mode);
     ``wait`` bounds how long ``--once`` waits for the stream to appear.
     """
-    if out is None:
-        out = print
-    agg = LiveAggregate()
-    lock = threading.Lock()
-    stop = threading.Event()
-    collector = None
+    fold, lock, close = _stream_source(
+        run, connect, once=once, wait=wait, refresh=refresh,
+        duration=duration, ready=lambda f: f.records)
 
-    def write_html() -> None:
-        if html:
-            with lock:
-                page = render_html(agg, budget=budget)
-            with open(html, "w", encoding="utf-8") as fh:
-                fh.write(page)
+    def summarize() -> dict:
+        with lock:
+            return watch_summary(fold)
 
-    if run is not None:
-        if once:
-            deadline = time.monotonic() + (wait or 0.0)
-            while True:
-                # Fresh aggregate per attempt: the file is re-read from
-                # the start, so feeding into the old one would double.
-                attempt = LiveAggregate()
-                for record in iter_ndjson(run):
-                    attempt.feed(record)
-                agg = attempt
-                if agg.records or time.monotonic() >= deadline:
-                    break
-                time.sleep(0.2)
-            write_html()
-            out(render_text(agg, budget=budget))
-            return 0 if agg.records else 1
-
-        def pump() -> None:
-            for record in iter_ndjson(run, follow=True, timeout=duration):
-                with lock:
-                    agg.feed(record)
-                if stop.is_set():
-                    return
-
-        thread = threading.Thread(target=pump, daemon=True)
-        thread.start()
-    else:
-        collector = SocketCollector(connect, agg, lock)
-        collector.start()
-        if once:
-            time.sleep(wait if wait is not None else refresh)
-            write_html()
-            out(render_text(agg, budget=budget))
-            collector.close()
-            return 0 if agg.records else 1
-
-    started = time.monotonic()
-    is_tty = hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
     try:
-        while True:
-            time.sleep(refresh)
-            with lock:
-                frame = render_text(agg, budget=budget)
-                done = agg.done
-            if is_tty:
-                out("\x1b[2J\x1b[H" + frame)
-            else:
-                out(frame)
-            write_html()
-            if done:
-                break
-            if duration is not None and time.monotonic() - started >= duration:
-                break
-    except KeyboardInterrupt:
-        pass
+        return _drive(summarize, lambda s: render_text(s, budget=budget),
+                      lambda s: render_html(s, budget=budget), once=once,
+                      refresh=refresh, duration=duration, html=html,
+                      out=out or print, finished=lambda s: s["done"])
     finally:
-        stop.set()
-        if collector is not None:
-            collector.close()
-        write_html()
-    return 0
+        close()
+
+
+def run_fleet(
+    connect: str | None = None,
+    run: str | None = None,
+    refresh: float = 1.0,
+    once: bool = False,
+    duration: float | None = None,
+    wait: float | None = None,
+    html: str | None = None,
+    secret: bytes | None = None,
+    out=None,
+) -> int:
+    """Drive the ``repro fleet`` dashboard.
+
+    Exactly one of ``connect`` (poll the scheduler's ``fleet`` op over
+    the wire protocol) or ``run`` (tail a ``repro serve --obs-stream``
+    NDJSON file).  Stops once the fleet drains or the stream ends;
+    returns 1 when nothing was ever observed.
+    """
+    throughput = Throughput()
+    if connect is not None:
+        from repro.errors import ServiceError
+        from repro.service.client import ServiceClient
+
+        client = ServiceClient(connect, connect_timeout=wait or 10.0,
+                               secret=secret)
+        close = client.close
+        last = {"snapshot": {}, "polls": 0}
+
+        def current() -> dict:
+            try:
+                last["snapshot"] = client.fleet()
+                last["polls"] += 1
+            except ServiceError:
+                pass  # the daemon is away: keep the previous snapshot
+            return dict(fleet_snapshot_summary(last["snapshot"]),
+                        records=last["polls"])
+    else:
+        fold, lock, close = _stream_source(
+            run, None, once=once, wait=wait, refresh=refresh,
+            duration=duration, ready=lambda f: fleet_summary(f)["records"])
+
+        def current() -> dict:
+            with lock:
+                return fleet_summary(fold)
+
+    def summarize() -> dict:
+        """The current fleet summary, with the throughput series."""
+        summary = current()
+        summary["throughput"] = throughput.sample(
+            summary["counters"]["completions"], time.monotonic())
+        return summary
+
+    try:
+        return _drive(summarize, render_fleet_text, render_fleet_html,
+                      once=once, refresh=refresh, duration=duration,
+                      html=html, out=out or print,
+                      finished=lambda s: s["done"] or (
+                          s["stopping"] and not s["worker_states"]))
+    finally:
+        close()
 
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "FleetAggregate",
     "HTML_STYLE",
-    "escape_html",
-    "LiveAggregate",
     "SocketCollector",
-    "TrackState",
+    "Throughput",
+    "escape_html",
+    "fleet_snapshot_summary",
+    "fleet_summary",
     "render_fleet_html",
     "render_fleet_text",
     "render_html",
     "render_text",
     "run_fleet",
     "run_watch",
+    "watch_summary",
 ]

@@ -30,10 +30,11 @@ import pickle
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.obs.stream import JOURNAL_NAME
+
 if TYPE_CHECKING:
     from repro.service.protocol import JobSpec
 
-JOURNAL_NAME = "journal.ndjson"
 DEADLETTER_NAME = "dead-letter.ndjson"
 
 

@@ -471,11 +471,12 @@ def test_spark_shapes():
     assert line[-1] == "█"
 
 
-def fed_aggregate():
-    from repro.obs.watch import FleetAggregate
+def fed_fold():
+    """A fold of service records without a ``track`` (the fold files
+    them under ``""``)."""
+    from repro.obs.stream import fold_records
 
-    agg = FleetAggregate()
-    ev = [
+    return fold_records([
         {"type": "event", "name": "service.worker_joined", "worker": "w-1"},
         {"type": "event", "name": "service.job_submitted", "job_id": "j"},
         {"type": "event", "name": "service.lease_granted", "worker": "w-1",
@@ -487,57 +488,63 @@ def fed_aggregate():
          "threshold": 0.0, "description": "boom"},
         {"type": "metric", "kind": "gauge", "name": "service.cache.hits",
          "value": 5},
-    ]
-    for record in ev:
-        agg.feed(record)
-    return agg
+    ])
 
 
 def test_fleet_aggregate_stream_mode():
-    agg = fed_aggregate()
-    s = agg.summary()
+    from repro.obs.watch import fleet_summary
+
+    fold = fed_fold()
+    assert set(fold.tracks) == {""}
+    s = fleet_summary(fold)
     assert s["workers"] == 1
     assert s["counters"]["completions"] == 1
-    assert agg.workers["w-1"]["cells_done"] == 1
-    assert agg.workers["w-1"]["in_flight"] == []  # done removed it
+    assert s["worker_states"]["w-1"]["cells_done"] == 1
+    assert s["worker_states"]["w-1"]["in_flight"] == []  # done removed it
     assert [a["rule"] for a in s["alerts"]] == ["dead_letters"]
-    agg.feed({"type": "event", "name": "service.alert.resolved",
-              "rule": "dead_letters"})
-    assert agg.summary()["alerts"] == []
-    assert agg.summary()["alert_history"] == 2
+    assert s["cache"] == {"hits": 5}
+    fold.feed({"type": "event", "name": "service.alert.resolved",
+               "rule": "dead_letters"})
+    assert fleet_summary(fold)["alerts"] == []
+    assert fleet_summary(fold)["alert_history"] == 2
 
 
 def test_fleet_renderers_smoke():
-    from repro.obs.watch import render_fleet_html, render_fleet_text
+    from repro.obs.watch import (
+        Throughput,
+        fleet_summary,
+        render_fleet_html,
+        render_fleet_text,
+    )
 
-    agg = fed_aggregate()
-    agg.sample_throughput(0.0)
-    agg.sample_throughput(1.0)
-    text = render_fleet_text(agg)
+    s = fleet_summary(fed_fold())
+    throughput = Throughput()
+    throughput.sample(s["counters"]["completions"], 0.0)
+    s["throughput"] = throughput.sample(s["counters"]["completions"], 1.0)
+    text = render_fleet_text(s)
     assert "w-1" in text and "dead_letters" in text
-    html = render_fleet_html(agg)
+    html = render_fleet_html(s)
     assert html.startswith("<!DOCTYPE html>")
     assert "w-1" in html and "dead_letters" in html
 
 
 def test_fleet_aggregate_snapshot_mode():
-    from repro.obs.watch import FleetAggregate
+    from repro.obs.watch import Throughput, fleet_snapshot_summary
 
-    agg = FleetAggregate()
     snap = snapshot_fixture()
     snap["alerts"] = [{"rule": "dead_letters", "metric": "dead_letters",
                        "value": 1.0, "threshold": 0.0, "description": "d"}]
-    agg.feed_snapshot(snap)
-    s = agg.summary()
+    s = fleet_snapshot_summary(snap)
     assert s["queue_depth"] == 3
     assert s["counters"]["completions"] == 8
-    assert agg.workers["w-1"]["cells_done"] == 5
+    assert s["worker_states"]["w-1"]["cells_done"] == 5
     assert [a["rule"] for a in s["alerts"]] == ["dead_letters"]
-    agg.sample_throughput(0.0)
+    throughput = Throughput()
+    throughput.sample(s["counters"]["completions"], 0.0)
     snap["counters"]["completions"] = 18
-    agg.feed_snapshot(snap)
-    agg.sample_throughput(5.0)
-    assert agg.throughput()[-1] == pytest.approx(2.0)
+    s = fleet_snapshot_summary(snap)
+    rates = throughput.sample(s["counters"]["completions"], 5.0)
+    assert rates[-1] == pytest.approx(2.0)
 
 
 # -- reports ------------------------------------------------------------------

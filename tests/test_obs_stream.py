@@ -39,11 +39,13 @@ from repro.obs.context import ObsConfig, ObsContext
 from repro.obs.sinks import NdjsonFileSink, RelaySink, SocketSink, parse_address
 from repro.obs.stream import (
     STREAM_SCHEMA_VERSION,
+    StreamFold,
+    fold_records,
     iter_ndjson,
     read_stream,
     validate_stream_record,
 )
-from repro.obs.watch import LiveAggregate, render_html, render_text, run_watch
+from repro.obs.watch import render_html, render_text, run_watch, watch_summary
 from tests.support import fingerprint, matrix_fingerprint
 
 SCALE = 1 / 512
@@ -496,6 +498,12 @@ class TestLiveTail:
 # -- watch ---------------------------------------------------------------------
 
 
+def track_intervals(fold, track: str) -> int:
+    """``interval.end`` events the fold holds on one track."""
+    return sum(1 for e in fold.tracks[track].events
+               if e.name == "interval.end")
+
+
 class TestWatch:
     def _stream(self, tmp_path):
         path, ctx, _ = stream_engine(tmp_path, intervals=8)
@@ -503,34 +511,26 @@ class TestWatch:
 
     def test_aggregator_folds_the_stream(self, tmp_path):
         path, ctx = self._stream(tmp_path)
-        agg = LiveAggregate()
-        for rec in read_records(path):
-            agg.feed(rec)
-        assert agg.invalid_records == 0
-        track = agg.tracks["t"]
-        assert track.intervals == 8
-        assert agg.done  # the stream-level end arrived
-        occ = agg.tier_occupancy()
-        assert occ, "no tier occupancy gauges seen"
-        summary = agg.summary()
+        fold = fold_records(read_records(path))
+        assert fold.invalid == 0
+        assert track_intervals(fold, "t") == 8
+        assert fold.done  # the stream-level end arrived
+        summary = watch_summary(fold)
+        assert summary["tiers"], "no tier occupancy gauges seen"
         assert summary["records"] == len(read_records(path))
 
     def test_render_text_mentions_the_key_panels(self, tmp_path):
         path, _ = self._stream(tmp_path)
-        agg = LiveAggregate()
-        for rec in read_records(path):
-            agg.feed(rec)
-        frame = render_text(agg, budget=0.05)
+        frame = render_text(watch_summary(fold_records(read_records(path))),
+                            budget=0.05)
         for needle in ("tier occupancy", "profiling overhead", "budget",
                        "migration", "stream drops"):
             assert needle in frame
 
     def test_render_html_is_self_contained(self, tmp_path):
         path, _ = self._stream(tmp_path)
-        agg = LiveAggregate()
-        for rec in read_records(path):
-            agg.feed(rec)
-        page = render_html(agg, budget=0.05)
+        page = render_html(watch_summary(fold_records(read_records(path))),
+                           budget=0.05)
         assert page.lstrip().startswith("<!DOCTYPE html>")
         assert "prefers-color-scheme" in page
         assert "tier occupancy" in page.lower()
@@ -559,11 +559,11 @@ class TestWatch:
 
     def test_socket_collector_receives_a_streaming_run(self, tmp_path):
         addr = f"unix:{tmp_path}/watch.sock"
-        agg = LiveAggregate()
+        fold = StreamFold()
         lock = threading.Lock()
         from repro.obs.watch import SocketCollector
 
-        collector = SocketCollector(addr, agg, lock)
+        collector = SocketCollector(addr, fold, lock)
         collector.start()
         try:
             ctx = ObsContext(ObsConfig(stream=True), label="sock")
@@ -575,12 +575,12 @@ class TestWatch:
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:
                 with lock:
-                    if agg.done:
+                    if fold.done:
                         break
                 time.sleep(0.05)
             with lock:
-                assert agg.done
-                assert agg.tracks["sock"].intervals == INTERVALS
+                assert fold.done
+                assert track_intervals(fold, "sock") == INTERVALS
         finally:
             collector.close()
 
@@ -736,6 +736,78 @@ class TestStreamOnlyDirectory:
         assert "tier occupancy" in capsys.readouterr().out
 
 
+class TestOneFold:
+    """watch, report and the fold read one stream the same way."""
+
+    #: Counters the watch frame shows, by summary key.
+    COUNTERS = {"retries_scheduled": "migrate.retries_scheduled",
+                "retries_succeeded": "migrate.retries_succeeded",
+                "dropped_events": "obs.dropped_events",
+                "relay_backpressure": "obs.relay_backpressure"}
+
+    def _report_json(self, run_dir, capsys) -> dict:
+        from repro.cli import main
+
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_watch_and_report_agree_on_counter_totals(self, tmp_path,
+                                                      capsys):
+        from repro.faults.injector import FaultConfig, FaultInjector
+
+        done = tmp_path / "done"
+        done.mkdir()
+        path, _, _ = stream_engine(
+            done, injector=FaultInjector(FaultConfig.uniform(0.05),
+                                         seed=123))
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        lines = path.read_text().splitlines(keepends=True)
+        keep = len(lines) * 2 // 3
+        (cut / "stream.ndjson").write_text(
+            "".join(lines[:keep]) + lines[keep][:len(lines[keep]) // 2])
+        for run_dir in (done, cut):
+            summary = watch_summary(read_stream(run_dir))
+            report = self._report_json(run_dir, capsys)
+            for key, name in self.COUNTERS.items():
+                total = sum(v for k, v in report["counters"].items()
+                            if k.split("{")[0] == name)
+                assert summary[key] == total, (run_dir.name, name)
+            assert summary["done"] == (run_dir is done)
+        assert watch_summary(read_stream(done))["retries_scheduled"] > 0
+
+    def test_every_reader_reports_stream_problems(self, cut_run, tmp_path,
+                                                  capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        junk = ["[1, 2]",
+                json.dumps({"type": "bogus", "track": "cut"}),
+                json.dumps({"type": "meta", "v": 99, "track": "cut",
+                            "pid": os.getpid()})]
+        (bad / "stream.ndjson").write_text(
+            (cut_run / "stream.ndjson").read_text()
+            + "\n".join(junk) + "\n")
+        line = "stream problems: 2 invalid records, 1 schema mismatches"
+        fold = read_stream(bad)
+        assert (fold.invalid, fold.schema_mismatch) == (2, 1)
+        assert fold.problems() == line
+        report = self._report_json(bad, capsys)
+        assert report["invalid_records"] == 2
+        assert report["schema_mismatch"] == 1
+        assert main(["report", "--run", str(bad)]) == 0
+        assert line in capsys.readouterr().out
+        assert main(["watch", "--run", str(bad), "--once"]) == 0
+        assert line in capsys.readouterr().out
+        # a clean stream keeps the old report shape
+        clean = self._report_json(cut_run, capsys)
+        assert "invalid_records" not in clean
+        assert main(["report", "--run", str(cut_run)]) == 0
+        assert "stream problems" not in capsys.readouterr().out
+
+
 class TestCompressedRun:
     def test_holds_one_gzipped_stream_and_the_trace(self, gz_run):
         assert {p.name for p in gz_run.iterdir()} == {"stream.ndjson.gz",
@@ -786,11 +858,11 @@ class TestSocketCollectorConcurrency:
         mid-stream.  The collector keeps the other feeds intact and
         never folds the aborted connection's torn tail."""
         addr = f"unix:{tmp_path}/collect.sock"
-        agg = LiveAggregate()
+        fold = StreamFold()
         lock = threading.Lock()
         from repro.obs.watch import SocketCollector
 
-        collector = SocketCollector(addr, agg, lock)
+        collector = SocketCollector(addr, fold, lock)
         collector.start()
         try:
             meta = {"v": STREAM_SCHEMA_VERSION, "type": "meta",
@@ -819,20 +891,20 @@ class TestSocketCollectorConcurrency:
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:
                 with lock:
-                    done = (agg.tracks.get("a") is not None
-                            and agg.tracks["a"].intervals == 3
-                            and agg.tracks.get("b") is not None
-                            and agg.tracks["b"].intervals == 3)
+                    done = (fold.tracks.get("a") is not None
+                            and track_intervals(fold, "a") == 3
+                            and fold.tracks.get("b") is not None
+                            and track_intervals(fold, "b") == 3)
                 if done:
                     break
                 time.sleep(0.05)
             with lock:
-                assert agg.tracks["a"].intervals == 3
-                assert agg.tracks["b"].intervals == 3
+                assert track_intervals(fold, "a") == 3
+                assert track_intervals(fold, "b") == 3
                 # the aborted publisher's meta landed; its torn event
                 # line must not have been decoded
-                assert agg.tracks.get("dying") is not None
-                assert agg.tracks["dying"].intervals == 0
+                assert fold.tracks.get("dying") is not None
+                assert track_intervals(fold, "dying") == 0
         finally:
             collector.close()
 

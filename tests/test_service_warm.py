@@ -567,9 +567,10 @@ def test_snapshot_cache_cleanup_spill_only_touches_own_files(tmp_path):
 
 
 def test_watch_surfaces_service_gauges():
-    from repro.obs.watch import LiveAggregate, render_html, render_text
+    from repro.obs.stream import StreamFold
+    from repro.obs.watch import render_html, render_text, watch_summary
 
-    agg = LiveAggregate()
+    fold = StreamFold()
     base = {"type": "metric", "kind": "gauge", "track": "service"}
     for name, value in [("service.cache.hits", 7),
                         ("service.cache.misses", 2),
@@ -580,32 +581,34 @@ def test_watch_surfaces_service_gauges():
                         ("service.warm.cached_bytes", 80 * 1024 * 1024),
                         ("service.warm.affinity_hits", 8),
                         ("service.warm.affinity_skips", 3)]:
-        agg.feed(dict(base, name=name, value=value, labels={}))
-    summary = agg.summary()
+        fold.feed(dict(base, name=name, value=value, labels={}))
+    summary = watch_summary(fold)
     assert summary["service"]["service.warm.hits"] == 10
-    text = render_text(agg)
+    text = render_text(summary)
     assert "service result cache: 7 hits / 2 misses" in text
     assert "warm fleet: 10 warm hits" in text
     assert "affinity 8 hits / 3 redirects" in text
-    html = render_html(agg)
+    html = render_html(summary)
     assert "Sweep service" in html and "8 warm grants" in html
 
 
 def test_watch_hides_service_panel_without_gauges():
-    from repro.obs.watch import LiveAggregate, render_html, render_text
+    from repro.obs.stream import StreamFold
+    from repro.obs.watch import render_html, render_text, watch_summary
 
-    agg = LiveAggregate()
-    assert agg.summary()["service"] == {}
-    assert "warm fleet" not in render_text(agg)
-    assert "Sweep service" not in render_html(agg)
+    summary = watch_summary(StreamFold())
+    assert summary["service"] == {}
+    assert "warm fleet" not in render_text(summary)
+    assert "Sweep service" not in render_html(summary)
 
 
 def test_scheduler_streams_warm_gauges(tmp_path):
     """A serve daemon with obs wired publishes ``service.*`` gauges the
-    watch aggregate folds — the end-to-end path ``repro watch`` reads."""
+    watch summary reads — the end-to-end path ``repro watch`` reads."""
     from repro.obs.context import ObsConfig, ObsContext
     from repro.obs.sinks import NdjsonFileSink
-    from repro.obs.watch import LiveAggregate
+    from repro.obs.stream import read_stream
+    from repro.obs.watch import watch_summary
 
     obs = ObsContext(ObsConfig(stream=True), label="service")
     stream = tmp_path / "stream.ndjson"
@@ -625,9 +628,6 @@ def test_scheduler_streams_warm_gauges(tmp_path):
     result = run_cell(grant["spec"], grant["workload"], grant["solution"])
     core.complete(grant["lease_id"], result, now=1.0)
     obs.stream_close()
-    agg = LiveAggregate()
-    for line in stream.read_text().splitlines():
-        agg.feed(json.loads(line))
-    service = agg.summary()["service"]
+    service = watch_summary(read_stream(stream))["service"]
     assert service.get("service.warm.hits") == 3
     assert service.get("service.cache.stores", 0) >= 1
